@@ -503,73 +503,122 @@ let footprint_conflict ~footprint (r : Txn.record) =
    conflicting record until the transaction's outcome is logged —
    cross-group 1SR rests on the (prepare, outcome] window being
    exclusive in each participant group. The predicate is conservative
-   (any footprint intersection blocks); outcome/decision records are
-   exempt, since they are what resolves the window. *)
-let blocked_in tbl ~own record =
-  Hashtbl.fold
-    (fun txid ind acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if String.equal txid own then None
-          else if footprint_conflict ~footprint:ind.ind_footprint record then
-            Some txid
-          else None)
-    tbl None
-
-let blocked_by_2pc t ~group (record : Txn.record) =
+   (any footprint intersection blocks); a prepare never blocks its own
+   transaction ([own], "" for a plain record). *)
+let blocked_by_2pc t ~group ~own record =
   match Hashtbl.find_opt t.twopc group with
   | None -> None
-  | Some tbl when Hashtbl.length tbl = 0 -> None
-  | Some tbl -> (
-      match Twopc.classify record with
-      | Twopc.Outcome _ | Twopc.Decision _ -> None
-      | Twopc.Prepare { txid = own; _ } -> blocked_in tbl ~own record
-      | Twopc.Plain -> blocked_in tbl ~own:"" record)
+  | Some tbl ->
+      Hashtbl.fold
+        (fun txid ind acc ->
+          match acc with
+          | Some _ -> acc
+          | None ->
+              if String.equal txid own then None
+              else if footprint_conflict ~footprint:ind.ind_footprint record then
+                Some txid
+              else None)
+        tbl None
 
 (* Prepares sitting in not-yet-scanned overhang entries (decided or
    in-flight positions above the applied watermark, throughput mode)
    block the same way; outcomes in the overhang release them. *)
-let blocked_by_overhang (record : Txn.record) overhang =
-  match Twopc.classify record with
-  | Twopc.Outcome _ | Twopc.Decision _ -> None
-  | Twopc.Prepare _ | Twopc.Plain ->
-      let own =
-        match Twopc.classify record with
-        | Twopc.Prepare { txid; _ } -> txid
-        | _ -> ""
+let blocked_by_overhang ~own record overhang =
+  let records = List.concat_map snd overhang in
+  let resolved =
+    List.filter_map
+      (fun r ->
+        match Twopc.classify r with
+        | Twopc.Outcome { txid; _ } -> Some txid
+        | _ -> None)
+      records
+  in
+  List.exists
+    (fun r ->
+      match Twopc.classify r with
+      | Twopc.Prepare { txid; _ } ->
+          (not (String.equal txid own))
+          && (not (List.mem txid resolved))
+          && footprint_conflict ~footprint:(Txn.read_keys r) record
+      | _ -> false)
+    records
+
+(* Admission: the one gate every submission passes before a log position
+   is spent on it, on every submit path. Four checks, in order:
+   - Dedup. A duplicated or replayed submission (duplicating link,
+     client retry) must not be sequenced a second time — the same
+     transaction at two positions is an L2 violation (found by
+     gray-failure chaos seed 2: dup-storm under the leader protocol). The
+     log up to [last] is the durable record of what was already
+     sequenced: answer from it. A committed record always sits above its
+     read position (positions up to it were decided when it was built),
+     so the scan is short.
+   - The 2PC in-doubt block (PROTOCOL.md §10), from the scanned in-doubt
+     table or from prepares in [overhang]. A refusal from the table also
+     re-arms the blocker's resolver, so a dead coordinator cannot wedge
+     a key range forever. Outcome and decision records are exempt: they
+     are what resolves the window.
+   - Staleness: a read is stale if its key was overwritten after the
+     record's read position (the §7 sketch: "check each new transaction
+     against previously committed transactions") — in the state applied
+     at [at], or in any [overhang] entry: the (position, entry) pairs
+     decided or in flight above [at], whose writes are ahead of any
+     position this record can get.
+   - Write-union overlap, the combination invariant: no record reads a
+     key an earlier member of [union] writes. A record failing only this
+     rule is deferred to a later position, not refused — exactly the
+     outcome it would get submitting alone. An admitted record joins
+     [union]. *)
+type admission = Duplicate of int | Refused | Deferred | Admitted
+
+let admit t ~group ~last ~at ~overhang union (r : Txn.record) =
+  let rec find pos =
+    if pos > last then None
+    else
+      match Wal.entry t.wal ~group ~pos with
+      | Some entry when Txn.mem_entry ~txn_id:r.Txn.txn_id entry -> Some pos
+      | _ -> find (pos + 1)
+  in
+  match
+    find (1 + max r.Txn.read_position (Wal.compacted_position t.wal ~group))
+  with
+  | Some pos ->
+      t.dup_submits <- t.dup_submits + 1;
+      Duplicate pos
+  | None ->
+      scan_2pc t ~group;
+      let blocked own =
+        match blocked_by_2pc t ~group ~own r with
+        | Some blocker ->
+            watch_2pc t ~group blocker;
+            true
+        | None -> blocked_by_overhang ~own r overhang
       in
-      let resolved =
-        List.concat_map
-          (fun (_, entry) ->
-            List.filter_map
-              (fun r ->
-                match Twopc.classify r with
-                | Twopc.Outcome { txid; _ } -> Some txid
-                | _ -> None)
-              entry)
-          overhang
+      let blocked =
+        match Twopc.classify r with
+        | Twopc.Outcome _ | Twopc.Decision _ -> false
+        | Twopc.Prepare { txid; _ } -> blocked txid
+        | Twopc.Plain -> blocked ""
       in
-      List.fold_left
-        (fun acc (_, entry) ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              List.fold_left
-                (fun acc r ->
-                  match acc with
-                  | Some _ -> acc
-                  | None -> (
-                      match Twopc.classify r with
-                      | Twopc.Prepare { txid; _ }
-                        when (not (String.equal txid own))
-                             && (not (List.mem txid resolved))
-                             && footprint_conflict
-                                  ~footprint:(Txn.read_keys r) record ->
-                          Some txid
-                      | _ -> None))
-                None entry)
-        None overhang
+      let stale () =
+        Array.exists
+          (fun key ->
+            match Wal.data_version t.wal ~group ~key ~at with
+            | Some version -> version > r.Txn.read_position
+            | None -> false)
+          (Txn.read_keys r)
+        || List.exists
+             (fun (pos, entry) ->
+               pos > r.Txn.read_position
+               && List.exists (fun s -> Txn.reads_from r s) entry)
+             overhang
+      in
+      if blocked || stale () then Refused
+      else if Txn.Write_union.reads_overlap union r then Deferred
+      else begin
+        Txn.Write_union.add union r;
+        Admitted
+      end
 
 let arm_2pc_trap t f = t.trap_2pc <- Some f
 
@@ -587,121 +636,70 @@ let fire_2pc_trap t entry =
         Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) f
       end
 
+(* The unbatched manager: one submission at a time per group, behind the
+   submit lock, each proposed alone at the next position. *)
 let handle_submit_single t ~group (record : Txn.record) =
   Mdds_sim.Semaphore.with_permit (submit_lock t ~group) (fun () ->
       let rec attempt tries =
-        if tries <= 0 then Messages.Submit_reply { result = Messages.No_quorum }
+        if tries <= 0 then Messages.No_quorum
         else
           (* Bring the manager's view of the log up to date first. *)
           let last = Wal.last_position t.wal ~group in
           match ensure_applied t ~group ~upto:last with
-          | Error _ -> Messages.Submit_reply { result = Messages.No_quorum }
+          | Error _ -> Messages.No_quorum
           | Ok () -> (
-              (* A duplicated or replayed submission (duplicating link,
-                 client retry) must not be sequenced a second time — the
-                 same transaction at two positions is an L2 violation
-                 (found by gray-failure chaos seed 2: dup-storm under the
-                 leader protocol). The log is the durable record of what
-                 was already sequenced: answer from it. A committed record
-                 always sits above its read position (positions up to it
-                 were decided when it was built), so the scan is short. *)
-              let already_at =
-                let lo =
-                  1
-                  + max record.Txn.read_position
-                      (Wal.compacted_position t.wal ~group)
-                in
-                let rec find pos =
-                  if pos > last then None
-                  else
-                    match Wal.entry t.wal ~group ~pos with
-                    | Some entry
-                      when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
-                        Some pos
-                    | _ -> find (pos + 1)
-                in
-                find lo
-              in
-              match already_at with
-              | Some pos ->
-                  t.dup_submits <- t.dup_submits + 1;
-                  Messages.Submit_reply { result = Messages.Accepted_at pos }
-              | None ->
-              (* Prepared-but-undecided cross-group footprints exclude
-                 conflicting admissions (PROTOCOL.md §10). The refusal
-                 also re-arms the resolver for the blocking transaction,
-                 so a dead coordinator cannot wedge a key range forever. *)
-              scan_2pc t ~group;
-              (match blocked_by_2pc t ~group record with
-              | Some blocker ->
-                  watch_2pc t ~group blocker;
-                  Messages.Submit_reply { result = Messages.Stale_read }
-              | None ->
-              (* Fine-grained conflict check against committed state: a
-                 read is stale if its key was overwritten after the
-                 transaction's read position (the §7 sketch: "check each
-                 new transaction against previously committed
-                 transactions"). *)
-              let stale =
-                (* Probe the footprint's deduped read-set array directly:
-                   no per-submit List.sort_uniq allocation. *)
-                Array.exists
-                  (fun key ->
-                    match Wal.data_version t.wal ~group ~key ~at:last with
-                    | Some version -> version > record.Txn.read_position
-                    | None -> false)
-                  (Txn.read_keys record)
-              in
-              if stale then Messages.Submit_reply { result = Messages.Stale_read }
-              else
-                let pos = last + 1 in
-                (* Multi-Paxos steady state: having decided the previous
-                   position, the manager is the position's leader and
-                   skips the prepare phase; after a failover the first
-                   decision pays a full round. *)
-                let fast =
-                  if Hashtbl.find_opt t.won group = Some last then Some [ record ]
-                  else None
-                in
-                let exposed = ref (fast <> None) in
-                let choose votes =
-                  let entry =
-                    Mdds_paxos.Tally.find_winning votes ~own:[ record ]
+              match
+                admit t ~group ~last ~at:last ~overhang:[]
+                  (Txn.Write_union.create ()) record
+              with
+              | Duplicate pos -> Messages.Accepted_at pos
+              | Refused | Deferred -> Messages.Stale_read
+              | Admitted -> (
+                  let pos = last + 1 in
+                  (* Multi-Paxos steady state: having decided the previous
+                     position, the manager is the position's leader and
+                     skips the prepare phase; after a failover the first
+                     decision pays a full round. *)
+                  let fast =
+                    if Hashtbl.find_opt t.won group = Some last then
+                      Some [ record ]
+                    else None
                   in
-                  if Txn.mem_entry ~txn_id:record.Txn.txn_id entry then
-                    exposed := true;
-                  Proposer.Propose entry
-                in
-                let result, _stats =
-                  Proposer.run t.env ~group ~pos ?fast ~choose ()
-                in
-                (match result with
-                | Proposer.Decided entry
-                  when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
-                    Hashtbl.replace t.won group pos;
-                    (* A decided prepare enters the in-doubt table (and
-                       arms its resolver) immediately — the scan would
-                       catch it on the next submission, but there may
-                       never be one. The whole entry is absorbed so the
-                       scan watermark can advance past it without a
-                       second pass. *)
-                    List.iter (note_record_2pc t ~group ~pos) entry;
-                    if scanned_2pc t ~group = pos - 1 then
-                      Hashtbl.replace t.twopc_scanned group pos;
-                    Messages.Submit_reply { result = Messages.Accepted_at pos }
-                | Proposer.Decided _ | Proposer.Observed _ ->
-                    (* Another proposer (a rival manager after a failover,
-                       or a learner) took the position: refresh and retry
-                       at the next one. *)
-                    attempt (tries - 1)
-                | Proposer.Unavailable ->
-                    (* Gave up; if our accepts went out the transaction may
-                       still be completed by someone else. *)
-                    if !exposed then
-                      Messages.Submit_reply { result = Messages.In_doubt }
-                    else Messages.Submit_reply { result = Messages.No_quorum })))
+                  let exposed = ref (fast <> None) in
+                  let choose votes =
+                    let entry =
+                      Mdds_paxos.Tally.find_winning votes ~own:[ record ]
+                    in
+                    if Txn.mem_entry ~txn_id:record.Txn.txn_id entry then
+                      exposed := true;
+                    Proposer.Propose entry
+                  in
+                  match Proposer.run t.env ~group ~pos ?fast ~choose () with
+                  | Proposer.Decided entry, _
+                    when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
+                      Hashtbl.replace t.won group pos;
+                      (* A decided prepare enters the in-doubt table (and
+                         arms its resolver) immediately — the scan would
+                         catch it on the next submission, but there may
+                         never be one. The whole entry is absorbed so the
+                         scan watermark can advance past it without a
+                         second pass. *)
+                      List.iter (note_record_2pc t ~group ~pos) entry;
+                      if scanned_2pc t ~group = pos - 1 then
+                        Hashtbl.replace t.twopc_scanned group pos;
+                      Messages.Accepted_at pos
+                  | (Proposer.Decided _ | Proposer.Observed _), _ ->
+                      (* Another proposer (a rival manager after a
+                         failover, or a learner) took the position:
+                         refresh and retry at the next one. *)
+                      attempt (tries - 1)
+                  | Proposer.Unavailable, _ ->
+                      (* Gave up; if our accepts went out the transaction
+                         may still be completed by someone else. *)
+                      if !exposed then Messages.In_doubt
+                      else Messages.No_quorum))
       in
-      attempt 5)
+      Messages.Submit_reply { result = attempt 5 })
 
 (* ------------------------------------------------------------------ *)
 (* Throughput mode (DESIGN.md §14): the batched/pipelined submit path.
@@ -782,105 +780,49 @@ let deliver_decided b ~pos entry pendings =
       end)
     pendings
 
-(* Admission: drain the queues (lost-position retries first) into the next
-   batch. Replayed submissions are answered from the log (the PR-6 dedup
-   rule); stale reads are checked against the applied state *plus* every
-   not-yet-applied entry above the watermark — in-flight window slots
-   included, since their writes are ahead of any position this batch can
-   get; and the combination invariant (no record reads a key an earlier
-   batch member writes) is enforced with the PR-5 write-union. A record
-   failing only the combination rule is deferred to a later position, not
-   aborted — exactly the outcome it would get submitting alone. *)
+(* Drain the queues (lost-position retries first) through {!admit} into
+   the next batch. The overhang is every not-yet-applied entry above the
+   watermark — in-flight window slots included. *)
 let build_batch (t : t) b =
   let group = b.bt_group in
-  let wal_last = Wal.last_position t.wal ~group in
-  let watermark = Wal.apply_available t.wal ~group in
-  scan_2pc t ~group;
+  let last = Wal.last_position t.wal ~group in
+  let at = Wal.apply_available t.wal ~group in
   let overhang =
     let rec collect pos acc =
-      if pos > wal_last then acc
+      if pos > last then acc
       else
         collect (pos + 1)
           (match Wal.entry t.wal ~group ~pos with
           | Some e -> (pos, e) :: acc
           | None -> acc)
     in
-    collect (watermark + 1)
-      (List.map (fun s -> (s.sl_pos, s.sl_entry)) b.bt_window)
+    collect (at + 1) (List.map (fun s -> (s.sl_pos, s.sl_entry)) b.bt_window)
   in
   let union = Txn.Write_union.create () in
-  let batch = ref [] in
-  let size = ref 0 in
-  let deferred = ref [] in
   let take () =
     match Queue.take_opt b.bt_requeue with
     | Some p -> Some p
     | None -> Queue.take_opt b.bt_queue
   in
-  let exception Full in
-  (try
-     let rec admit () =
-       if !size >= t.config.Config.batch_max then raise Full;
-       match take () with
-       | None -> ()
-       | Some p ->
-           let r = p.p_record in
-           let already_at =
-             let lo =
-               1 + max r.Txn.read_position (Wal.compacted_position t.wal ~group)
-             in
-             let rec find pos =
-               if pos > wal_last then None
-               else
-                 match Wal.entry t.wal ~group ~pos with
-                 | Some entry when Txn.mem_entry ~txn_id:r.Txn.txn_id entry ->
-                     Some pos
-                 | _ -> find (pos + 1)
-             in
-             find lo
-           in
-           (match already_at with
-           | Some pos ->
-               t.dup_submits <- t.dup_submits + 1;
-               resolve_pending b p (Messages.Accepted_at pos)
-           | None ->
-               let blocked =
-                 match blocked_by_2pc t ~group r with
-                 | Some blocker ->
-                     watch_2pc t ~group blocker;
-                     true
-                 | None -> blocked_by_overhang r overhang <> None
-               in
-               let stale =
-                 blocked
-                 || Array.exists
-                      (fun key ->
-                        match
-                          Wal.data_version t.wal ~group ~key ~at:watermark
-                        with
-                        | Some version -> version > r.Txn.read_position
-                        | None -> false)
-                      (Txn.read_keys r)
-                 || List.exists
-                      (fun (pos, entry) ->
-                        pos > r.Txn.read_position
-                        && List.exists (fun s -> Txn.reads_from r s) entry)
-                      overhang
-               in
-               if stale then resolve_pending b p Messages.Stale_read
-               else if Txn.Write_union.reads_overlap union r then
-                 deferred := p :: !deferred
-               else begin
-                 Txn.Write_union.add union r;
-                 batch := p :: !batch;
-                 incr size
-               end);
-           admit ()
-     in
-     admit ()
-   with Full -> ());
-  List.iter (fun p -> Queue.push p b.bt_requeue) (List.rev !deferred);
-  List.rev !batch
+  let rec fill batch size deferred =
+    if size >= t.config.Config.batch_max then (batch, deferred)
+    else
+      match take () with
+      | None -> (batch, deferred)
+      | Some p -> (
+          match admit t ~group ~last ~at ~overhang union p.p_record with
+          | Duplicate pos ->
+              resolve_pending b p (Messages.Accepted_at pos);
+              fill batch size deferred
+          | Refused ->
+              resolve_pending b p Messages.Stale_read;
+              fill batch size deferred
+          | Deferred -> fill batch size (p :: deferred)
+          | Admitted -> fill (p :: batch) (size + 1) deferred)
+  in
+  let batch, deferred = fill [] 0 [] in
+  List.iter (fun p -> Queue.push p b.bt_requeue) (List.rev deferred);
+  List.rev batch
 
 (* No leadership streak: the single-position path, synchronous in the
    drainer, with the batch as the proposed value — the same full protocol
@@ -945,25 +887,11 @@ let resolve_window (t : t) b =
             ignore (ensure_applied t ~group ~upto:(slot.sl_pos - 1));
             let fast_ballot = Ballot.fast ~proposer:t.dc in
             let revalidated () =
-              let watermark = Wal.apply_available t.wal ~group in
+              let last = Wal.last_position t.wal ~group in
+              let at = Wal.apply_available t.wal ~group in
               let union = Txn.Write_union.create () in
               List.filter
-                (fun (r : Txn.record) ->
-                  let stale =
-                    Array.exists
-                      (fun key ->
-                        match
-                          Wal.data_version t.wal ~group ~key ~at:watermark
-                        with
-                        | Some version -> version > r.Txn.read_position
-                        | None -> false)
-                      (Txn.read_keys r)
-                  in
-                  let ok =
-                    (not stale) && not (Txn.Write_union.reads_overlap union r)
-                  in
-                  if ok then Txn.Write_union.add union r;
-                  ok)
+                (fun r -> admit t ~group ~last ~at ~overhang:[] union r = Admitted)
                 slot.sl_entry
             in
             let choose votes =
