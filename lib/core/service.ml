@@ -19,10 +19,8 @@ type acceptor_cached = {
 type group_keys = { paxos_prefix : string; claim_prefix : string }
 
 (* ------------------------------------------------------------------ *)
-(* Throughput mode (DESIGN.md §14): the manager's pending queue and
-   pipelined proposal window. All volatile — a restart drops it, exactly
-   like the submission locks; clients of orphaned submissions time out as
-   they would against a down manager. *)
+(* The manager's submit path (DESIGN.md §14): the per-group pending queue
+   and pipelined proposal window. All volatile — a restart drops it. *)
 
 (* One queued submission. The handler fiber that received the Submit
    suspends on [p_wakers]; whichever fiber resolves the outcome (a
@@ -84,7 +82,6 @@ type t = {
   store : Store.t;
   wal : Wal.t;
   env : Proposer.env;
-  submit_locks : (string, Mdds_sim.Semaphore.t) Hashtbl.t;
   won : (string, int) Hashtbl.t;  (* last position this manager decided *)
   acceptors : (string, (int, acceptor_cached) Hashtbl.t) Hashtbl.t;
       (* Write-through decoded view of the paxos/ rows, per group; dropped
@@ -112,9 +109,8 @@ type t = {
   mutable dup_claims : int;
   mutable dup_submits : int;
   batchers : (string, batcher) Hashtbl.t;
-      (* Throughput mode only (Config.throughput_mode): per-group pending
-         queue + pipelined window. Untouched — never even allocated into —
-         when the mode is off, so the default path stays byte-identical. *)
+      (* Per-group pending queue + pipelined window, one per group a
+         submission has reached. *)
   mutable batches : int;
   mutable batched_txns : int;
   mutable pipelined_rounds : int;
@@ -414,22 +410,6 @@ let handle_claim t ~group ~pos ~claimant =
       else Messages.Claim_reply { first = owner () = Some claimant }
 
 (* ------------------------------------------------------------------ *)
-(* Long-term-leader transaction manager (§7–§8 future work).            *)
-
-(* Commit decisions for a group are serialized: the manager orders
-   transactions, so two concurrent submissions must not race for the same
-   log position. *)
-let submit_lock t ~group =
-  match Hashtbl.find_opt t.submit_locks group with
-  | Some lock -> lock
-  | None ->
-      let lock =
-        Mdds_sim.Semaphore.create (Mdds_net.Rpc.engine t.env.Proposer.rpc) 1
-      in
-      Hashtbl.replace t.submit_locks group lock;
-      lock
-
-(* ------------------------------------------------------------------ *)
 (* Multi-shot atomic commit, manager side (PROTOCOL.md §10): the in-doubt
    table, admission blocking, and resolver arming. All state here is
    volatile and re-derived from the log's marker records ({!Twopc}) —
@@ -636,78 +616,20 @@ let fire_2pc_trap t entry =
         Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) f
       end
 
-(* The unbatched manager: one submission at a time per group, behind the
-   submit lock, each proposed alone at the next position. *)
-let handle_submit_single t ~group (record : Txn.record) =
-  Mdds_sim.Semaphore.with_permit (submit_lock t ~group) (fun () ->
-      let rec attempt tries =
-        if tries <= 0 then Messages.No_quorum
-        else
-          (* Bring the manager's view of the log up to date first. *)
-          let last = Wal.last_position t.wal ~group in
-          match ensure_applied t ~group ~upto:last with
-          | Error _ -> Messages.No_quorum
-          | Ok () -> (
-              match
-                admit t ~group ~last ~at:last ~overhang:[]
-                  (Txn.Write_union.create ()) record
-              with
-              | Duplicate pos -> Messages.Accepted_at pos
-              | Refused | Deferred -> Messages.Stale_read
-              | Admitted -> (
-                  let pos = last + 1 in
-                  (* Multi-Paxos steady state: having decided the previous
-                     position, the manager is the position's leader and
-                     skips the prepare phase; after a failover the first
-                     decision pays a full round. *)
-                  let fast =
-                    if Hashtbl.find_opt t.won group = Some last then
-                      Some [ record ]
-                    else None
-                  in
-                  let exposed = ref (fast <> None) in
-                  let choose votes =
-                    let entry =
-                      Mdds_paxos.Tally.find_winning votes ~own:[ record ]
-                    in
-                    if Txn.mem_entry ~txn_id:record.Txn.txn_id entry then
-                      exposed := true;
-                    Proposer.Propose entry
-                  in
-                  match Proposer.run t.env ~group ~pos ?fast ~choose () with
-                  | Proposer.Decided entry, _
-                    when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
-                      Hashtbl.replace t.won group pos;
-                      (* A decided prepare enters the in-doubt table (and
-                         arms its resolver) immediately — the scan would
-                         catch it on the next submission, but there may
-                         never be one. The whole entry is absorbed so the
-                         scan watermark can advance past it without a
-                         second pass. *)
-                      List.iter (note_record_2pc t ~group ~pos) entry;
-                      if scanned_2pc t ~group = pos - 1 then
-                        Hashtbl.replace t.twopc_scanned group pos;
-                      Messages.Accepted_at pos
-                  | (Proposer.Decided _ | Proposer.Observed _), _ ->
-                      (* Another proposer (a rival manager after a
-                         failover, or a learner) took the position:
-                         refresh and retry at the next one. *)
-                      attempt (tries - 1)
-                  | Proposer.Unavailable, _ ->
-                      (* Gave up; if our accepts went out the transaction
-                         may still be completed by someone else. *)
-                      if !exposed then Messages.In_doubt
-                      else Messages.No_quorum))
-      in
-      Messages.Submit_reply { result = attempt 5 })
-
 (* ------------------------------------------------------------------ *)
-(* Throughput mode (DESIGN.md §14): the batched/pipelined submit path.
-
-   One drainer fiber per group owns proposal order. Submissions queue;
-   the drainer drains them (fill-or-timeout) into Combine-valid batches,
-   one batch per log position, and — in the Multi-Paxos steady state —
-   keeps up to [pipeline_depth] positions in flight at once via
+(* Long-term-leader transaction manager (§7–§8 future work): the submit
+   path (DESIGN.md §14). One drainer fiber per group
+   owns proposal order; submissions queue and their handler fibers wait
+   for the drainer to resolve them. It seals entries under one of three
+   disciplines:
+   - seal at one (batch_max = 1, pipeline_depth = 1, no epoch: the
+     paper's unbatched manager): each submission alone, in arrival order
+     ({!propose_alone});
+   - fill-or-timeout batching: Combine-valid batches, one per log
+     position;
+   - epochs (PROTOCOL.md §11): everything admitted in an interval.
+   Batches and epochs, in the Multi-Paxos steady state, keep up to
+   [pipeline_depth] positions in flight at once via
    {!Proposer.run_fast}'s sequenced round-0 accepts. A failed round
    stalls the pipeline: every open position is resolved in log order
    through the full protocol before new positions open. Data applies
@@ -758,12 +680,9 @@ let resolve_pending b p result =
 (* The submit handler's side: block until some drainer/slot fiber
    resolves the outcome. The client's own timeout bounds the wait. *)
 let await_pending p =
-  (match p.p_result with
-  | None -> Mdds_sim.Engine.suspend (fun wake -> p.p_wakers <- wake :: p.p_wakers)
-  | Some _ -> ());
-  match p.p_result with
-  | Some result -> Messages.Submit_reply { result }
-  | None -> Messages.Submit_reply { result = Messages.No_quorum }
+  if p.p_result = None then
+    Mdds_sim.Engine.suspend (fun wake -> p.p_wakers <- wake :: p.p_wakers);
+  Option.value p.p_result ~default:Messages.No_quorum
 
 (* Outcomes for a decided position: members commit at it; the rest lost
    the position and go back to the queue, where the next admission pass
@@ -851,6 +770,57 @@ let propose_sync (t : t) b ~pos batch =
             (if p.p_exposed then Messages.In_doubt else Messages.No_quorum))
         batch
 
+(* Seal at one: the record is its own entry, proposed at the position
+   after the log tail as read before catch-up — through the fast round on
+   the Multi-Paxos streak (falling back inline to the full protocol),
+   else through the full protocol — and retried in place at the next
+   position while rivals take them. *)
+let propose_alone t ~group (record : Txn.record) =
+  let rec attempt tries =
+    if tries <= 0 then Messages.No_quorum
+    else
+      let last = Wal.last_position t.wal ~group in
+      match ensure_applied t ~group ~upto:last with
+      | Error _ -> Messages.No_quorum
+      | Ok () -> (
+          match
+            admit t ~group ~last ~at:last ~overhang:[]
+              (Txn.Write_union.create ()) record
+          with
+          | Duplicate pos -> Messages.Accepted_at pos
+          | Refused | Deferred -> Messages.Stale_read
+          | Admitted -> (
+              let pos = last + 1 in
+              let fast =
+                if Hashtbl.find_opt t.won group = Some last then Some [ record ]
+                else None
+              in
+              let exposed = ref (fast <> None) in
+              let choose votes =
+                let entry = Mdds_paxos.Tally.find_winning votes ~own:[ record ] in
+                if Txn.mem_entry ~txn_id:record.Txn.txn_id entry then
+                  exposed := true;
+                Proposer.Propose entry
+              in
+              match Proposer.run t.env ~group ~pos ?fast ~choose () with
+              | Proposer.Decided entry, _
+                when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
+                  Hashtbl.replace t.won group pos;
+                  (* A decided prepare enters the in-doubt table (and arms
+                     its resolver) now — the scan would catch it on the
+                     next submission, but there may never be one. *)
+                  List.iter (note_record_2pc t ~group ~pos) entry;
+                  if scanned_2pc t ~group = pos - 1 then
+                    Hashtbl.replace t.twopc_scanned group pos;
+                  Messages.Accepted_at pos
+              | (Proposer.Decided _ | Proposer.Observed _), _ ->
+                  (* A rival manager or a learner took the position. *)
+                  attempt (tries - 1)
+              | Proposer.Unavailable, _ ->
+                  if !exposed then Messages.In_doubt else Messages.No_quorum))
+  in
+  attempt 5
+
 (* A pipelined round failed (refused sequenced accept, timeout, or a rival
    bumped nextBal): stall the pipeline and resolve every open position in
    log order through the full protocol. Each resolution adopts whatever
@@ -930,7 +900,18 @@ let resolve_window (t : t) b =
     slots
 
 let rec drain (t : t) b =
-  if b.bt_stopped then b.bt_running <- false
+  if not (Config.throughput_mode t.config) then begin
+    (* Seal at one: each submission in arrival order, alone. The next is
+       admitted only after the resolved handler has sent its reply, so
+       the reply goes out before the next proposal's broadcasts. *)
+    match Queue.take_opt b.bt_queue with
+    | None -> b.bt_running <- false
+    | Some p ->
+        resolve_pending b p (propose_alone t ~group:b.bt_group p.p_record);
+        if not (Queue.is_empty b.bt_queue) then Mdds_sim.Engine.yield ();
+        drain t b
+  end
+  else if b.bt_stopped then b.bt_running <- false
   else begin
     (* Completed slots leave the window as soon as their outcome is
        delivered; their entries are in the WAL (synchronous local apply in
@@ -1055,46 +1036,57 @@ and launch (t : t) b =
   end
   end
 
-let handle_submit_batched t ~group (record : Txn.record) =
-  let b = batcher t ~group in
-  match Hashtbl.find_opt b.bt_by_id record.Txn.txn_id with
-  | Some p ->
-      (* Duplicate Submit while the original is queued or in flight
-         (duplicating link, or a client retrying into the same manager):
-         attach as an extra waiter; the one resolution answers both. *)
-      t.dup_submits <- t.dup_submits + 1;
-      await_pending p
-  | None ->
-      let p =
-        {
-          p_record = record;
-          p_result = None;
-          p_wakers = [];
-          p_tries = 0;
-          p_exposed = false;
-        }
-      in
-      Queue.push p b.bt_queue;
-      Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
-      if not b.bt_running then begin
-        b.bt_running <- true;
-        Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) (fun () ->
-            drain t b)
-      end
-      else wake_batcher b;
-      await_pending p
-
-let handle_submit t ~group record =
-  let reply =
-    if Config.throughput_mode t.config then
-      handle_submit_batched t ~group record
-    else handle_submit_single t ~group record
+(* Queue a fresh submission, starting the drainer fiber if it is idle. *)
+let enqueue t b (record : Txn.record) =
+  let p =
+    {
+      p_record = record;
+      p_result = None;
+      p_wakers = [];
+      p_tries = 0;
+      p_exposed = false;
+    }
   in
-  (match reply with
-  | Messages.Submit_reply { result = Messages.In_doubt } ->
-      t.in_doubt_replies <- t.in_doubt_replies + 1
-  | _ -> ());
-  reply
+  Queue.push p b.bt_queue;
+  Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
+  if b.bt_running then wake_batcher b
+  else begin
+    b.bt_running <- true;
+    Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) (fun () -> drain t b)
+  end;
+  p
+
+let handle_submit t ~group (record : Txn.record) =
+  let b = batcher t ~group in
+  let result =
+    if Config.throughput_mode t.config then
+      match Hashtbl.find_opt b.bt_by_id record.Txn.txn_id with
+      | Some p ->
+          (* Duplicate Submit while the original is queued or in flight
+             (duplicating link, or a client retrying into the same
+             manager): attach as an extra waiter; the one resolution
+             answers both. At seal at one a duplicate takes its own turn
+             instead, and admission's dedup answers it from the log. *)
+          t.dup_submits <- t.dup_submits + 1;
+          await_pending p
+      | None -> await_pending (enqueue t b record)
+    else if b.bt_running then await_pending (enqueue t b record)
+    else begin
+      (* An idle seal-at-one drainer starts in the submitting fiber: its
+         proposal goes out now, and a drainer fiber takes over only for
+         the submissions that queued behind it. *)
+      b.bt_running <- true;
+      let result = propose_alone t ~group record in
+      if Queue.is_empty b.bt_queue then b.bt_running <- false
+      else
+        Mdds_sim.Engine.spawn (Rpc.engine t.env.Proposer.rpc) (fun () ->
+            drain t b);
+      result
+    end
+  in
+  if result = Messages.In_doubt then
+    t.in_doubt_replies <- t.in_doubt_replies + 1;
+  Messages.Submit_reply { result }
 
 (* ------------------------------------------------------------------ *)
 (* In-doubt resolution (PROTOCOL.md §10). A resolver presumes abort for
@@ -1420,7 +1412,6 @@ let recover_acceptors t ~group =
    re-learning from peers, never re-voted from the reverted state. *)
 let restart t =
   Hashtbl.reset t.won;
-  Hashtbl.reset t.submit_locks;
   Hashtbl.reset t.acceptors;
   Hashtbl.reset t.suspect;
   Hashtbl.reset t.relearning;
@@ -1445,29 +1436,33 @@ let restart t =
      chaos seed 134, storm + torn-write). Clients treat both as a
      down-manager window (Unknown/retry); decided-but-unreported
      positions are recovered from the durable log like any other
-     entry. *)
-  Hashtbl.iter
-    (fun _ b ->
-      b.bt_stopped <- true;
-      let queued = Hashtbl.create 16 in
-      Queue.iter
-        (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
-        b.bt_queue;
-      Queue.iter
-        (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
-        b.bt_requeue;
-      let orphans = Hashtbl.fold (fun _ p acc -> p :: acc) b.bt_by_id [] in
-      List.iter
-        (fun p ->
-          resolve_pending b p
-            (if
-               p.p_exposed
-               || not (Hashtbl.mem queued p.p_record.Txn.txn_id)
-             then Messages.In_doubt
-             else Messages.No_quorum))
-        orphans;
-      wake_batcher b)
-    t.batchers;
+     entry. A seal-at-one drainer is left running instead: its one
+     proposal and its queue finish against the restarted state, as the
+     unbatched manager's always have, while post-restart submissions
+     start a fresh drainer. *)
+  if Config.throughput_mode t.config then
+    Hashtbl.iter
+      (fun _ b ->
+        b.bt_stopped <- true;
+        let queued = Hashtbl.create 16 in
+        Queue.iter
+          (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
+          b.bt_queue;
+        Queue.iter
+          (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
+          b.bt_requeue;
+        let orphans = Hashtbl.fold (fun _ p acc -> p :: acc) b.bt_by_id [] in
+        List.iter
+          (fun p ->
+            resolve_pending b p
+              (if
+                 p.p_exposed
+                 || not (Hashtbl.mem queued p.p_record.Txn.txn_id)
+               then Messages.In_doubt
+               else Messages.No_quorum))
+          orphans;
+        wake_batcher b)
+      t.batchers;
   Hashtbl.reset t.batchers;
   Wal.invalidate t.wal;
   List.iter
@@ -1612,7 +1607,6 @@ let start ?(storage = Store.Sync_always) ~rpc ~config ~dc ~dcs ~trace () =
       store;
       wal = Wal.create store;
       env;
-      submit_locks = Hashtbl.create 8;
       won = Hashtbl.create 8;
       acceptors = Hashtbl.create 4;
       group_keys = Hashtbl.create 4;

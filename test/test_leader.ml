@@ -1,5 +1,5 @@
 (* Tests for the long-term-leader transaction manager (the paper's §7–§8
-   future-work design) and the semaphore substrate it uses. *)
+   future-work design). *)
 
 module Cluster = Mdds_core.Cluster
 module Client = Mdds_core.Client
@@ -8,7 +8,6 @@ module Audit = Mdds_core.Audit
 module Verify = Mdds_core.Verify
 module Topology = Mdds_net.Topology
 module Engine = Mdds_sim.Engine
-module Semaphore = Mdds_sim.Semaphore
 module Rng = Mdds_sim.Rng
 
 let group = "g"
@@ -16,62 +15,6 @@ let group = "g"
 let committed = function
   | Audit.Committed _ | Audit.Read_only_committed -> true
   | Audit.Aborted _ | Audit.Unknown -> false
-
-(* ------------------------------------------------------------------ *)
-(* Semaphore.                                                           *)
-
-let test_semaphore_mutex () =
-  let engine = Engine.create () in
-  let sem = Semaphore.create engine 1 in
-  let active = ref 0 and max_active = ref 0 and order = ref [] in
-  for i = 1 to 3 do
-    Engine.spawn engine (fun () ->
-        Semaphore.with_permit sem (fun () ->
-            incr active;
-            max_active := max !max_active !active;
-            Engine.sleep 1.0;
-            order := i :: !order;
-            decr active))
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "mutual exclusion" 1 !max_active;
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3 ] (List.rev !order)
-
-let test_semaphore_counting () =
-  let engine = Engine.create () in
-  let sem = Semaphore.create engine 2 in
-  Alcotest.(check int) "initial" 2 (Semaphore.available sem);
-  let peak = ref 0 and active = ref 0 in
-  for _ = 1 to 5 do
-    Engine.spawn engine (fun () ->
-        Semaphore.with_permit sem (fun () ->
-            incr active;
-            peak := max !peak !active;
-            Engine.sleep 0.5;
-            decr active))
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "at most two concurrent" 2 !peak;
-  Alcotest.(check int) "all permits back" 2 (Semaphore.available sem);
-  Alcotest.(check int) "no waiters" 0 (Semaphore.waiting sem)
-
-let test_semaphore_release_on_exception () =
-  let engine = Engine.create () in
-  let sem = Semaphore.create engine 1 in
-  let second_ran = ref false in
-  Engine.spawn engine (fun () ->
-      try Semaphore.with_permit sem (fun () -> failwith "boom")
-      with Failure _ -> ());
-  Engine.spawn engine (fun () ->
-      Semaphore.with_permit sem (fun () -> second_ran := true));
-  Engine.run engine;
-  Alcotest.(check bool) "permit released on exception" true !second_ran
-
-let test_semaphore_invalid () =
-  let engine = Engine.create () in
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Semaphore.create: negative permits") (fun () ->
-      ignore (Semaphore.create engine (-1)))
 
 (* ------------------------------------------------------------------ *)
 (* Leader protocol.                                                     *)
@@ -257,13 +200,6 @@ let test_leader_outage_midway () =
 let () =
   Alcotest.run "leader"
     [
-      ( "semaphore",
-        [
-          Alcotest.test_case "mutual exclusion + FIFO" `Quick test_semaphore_mutex;
-          Alcotest.test_case "counting" `Quick test_semaphore_counting;
-          Alcotest.test_case "release on exception" `Quick test_semaphore_release_on_exception;
-          Alcotest.test_case "invalid" `Quick test_semaphore_invalid;
-        ] );
       ( "protocol",
         [
           Alcotest.test_case "basic commit" `Quick test_leader_basic_commit;
