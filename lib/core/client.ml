@@ -183,7 +183,7 @@ let commit_basic t txn (record : Txn.record) =
   | Proposer.Observed _ ->
       (* The basic chooser never stops early. *)
       assert false
-  | Proposer.Unavailable ->
+  | Proposer.Unavailable | Proposer.Compacted ->
       if !exposed then (Audit.Unknown, stats)
       else (Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }, stats)
 
@@ -241,60 +241,63 @@ let commit_cp t txn (record : Txn.record) =
           | Some cap when promotions >= cap ->
               (Audit.Aborted { reason = Audit.Promotion_limit; promotions }, acc)
           | _ -> go (pos + 1) (promotions + 1) acc)
-    | Proposer.Unavailable ->
+    | Proposer.Unavailable | Proposer.Compacted ->
         if !exposed then (Audit.Unknown, acc)
         else (Audit.Aborted { reason = Audit.Unavailable; promotions }, acc)
   in
   go (txn.read_position + 1) 0 Audit.no_stats
 
-(* Long-term-leader protocol: probe a manager for liveness, then hand it
-   the whole transaction. A submission that times out after being sent is
-   in doubt — it may still commit at the manager — so the client reports
-   [Unknown] rather than guessing (the probe keeps this rare: an
-   unreachable manager is detected before anything is submitted). *)
-let commit_leader t txn (record : Txn.record) =
+(* Long-term-leader transport: probe the managers in rotation from
+   [initial_leader] and submit [record] to the first that answers. The
+   probe keeps an unreachable manager from being handed anything, so
+   [`Unreachable] means nothing was submitted; [`Reply None] means the
+   submission went out but timed out, so it may still commit. *)
+let submit_to_manager t ~group (record : Txn.record) =
   let config = t.env.Proposer.config in
   let total = List.length t.env.Proposer.dcs in
-  let probe dst =
-    match
-      Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-        ~timeout:config.rpc_timeout
-        (Messages.Get_read_position { group = txn.group })
-    with
-    | Some _ -> true
-    | None -> false
+  let call dst ~timeout request =
+    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout request
   in
-  let submit dst =
-    (* Throughput mode adds queueing ahead of the proposal: the fill wait
-       plus up to [pipeline_depth] positions draining ahead of ours. The
-       default stays exactly the pre-existing 2×, byte-identical. *)
-    let timeout =
-      if Config.throughput_mode config then
-        (2.0 +. float_of_int config.pipeline_depth) *. config.rpc_timeout
-        +. config.batch_fill
-      else 2.0 *. config.rpc_timeout
-    in
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout
-      (Messages.Submit { group = txn.group; record })
+  (* Throughput mode adds queueing ahead of the proposal: the fill wait
+     plus up to [pipeline_depth] positions draining ahead of ours. *)
+  let submit_timeout =
+    if Config.throughput_mode config then
+      ((2.0 +. float_of_int config.pipeline_depth) *. config.rpc_timeout)
+      +. config.batch_fill
+    else 2.0 *. config.rpc_timeout
   in
   let rec go attempts manager =
-    if attempts <= 0 then Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-    else if not (probe manager) then go (attempts - 1) ((manager + 1) mod total)
+    if attempts <= 0 then `Unreachable
+    else if
+      Option.is_none
+        (call manager ~timeout:config.rpc_timeout
+           (Messages.Get_read_position { group }))
+    then go (attempts - 1) ((manager + 1) mod total)
     else
-      match submit manager with
-      | Some (Messages.Submit_reply { result = Messages.Accepted_at position }) ->
-          Audit.Committed { position; promotions = 0; combined = false }
-      | Some (Messages.Submit_reply { result = Messages.Stale_read }) ->
-          Audit.Aborted { reason = Audit.Conflict; promotions = 0 }
-      | Some (Messages.Submit_reply { result = Messages.In_doubt }) ->
-          Audit.Unknown
-      | Some (Messages.Submit_reply { result = Messages.No_quorum })
-      | Some (Messages.Failed _) ->
-          Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-      | Some _ -> Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
-      | None -> Audit.Unknown (* in doubt: submitted but no reply *)
+      `Reply
+        (call manager ~timeout:submit_timeout
+           (Messages.Submit { group; record }))
   in
-  (go (total + 1) (config.initial_leader mod total), Audit.no_stats)
+  go (total + 1) (config.initial_leader mod total)
+
+(* Long-term-leader protocol: hand the whole transaction to a manager. A
+   submission that times out after being sent is in doubt, so the client
+   reports [Unknown] rather than guessing. *)
+let commit_leader t txn (record : Txn.record) =
+  let outcome =
+    match submit_to_manager t ~group:txn.group record with
+    | `Reply (Some (Messages.Submit_reply { result = Messages.Accepted_at position }))
+      ->
+        Audit.Committed { position; promotions = 0; combined = false }
+    | `Reply (Some (Messages.Submit_reply { result = Messages.Stale_read })) ->
+        Audit.Aborted { reason = Audit.Conflict; promotions = 0 }
+    | `Reply (Some (Messages.Submit_reply { result = Messages.In_doubt }))
+    | `Reply None ->
+        Audit.Unknown
+    | `Reply (Some _) | `Unreachable ->
+        Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }
+  in
+  (outcome, Audit.no_stats)
 
 let commit txn =
   if txn.finished then invalid_arg "Client.commit: transaction already finished";
@@ -410,38 +413,14 @@ let write_in m ~group key value = write (part m ~group ~what:"write_in") key val
    [`Rejected] when it is the manager's explicit admission refusal;
    everything else after a submission went out is [`Maybe]. *)
 let manager_submit t ~group (record : Txn.record) =
-  let config = t.env.Proposer.config in
-  let total = List.length t.env.Proposer.dcs in
-  let probe dst =
-    match
-      Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst
-        ~timeout:config.rpc_timeout
-        (Messages.Get_read_position { group })
-    with
-    | Some _ -> true
-    | None -> false
-  in
-  let submit dst =
-    let timeout =
-      if Config.throughput_mode config then
-        (2.0 +. float_of_int config.pipeline_depth) *. config.rpc_timeout
-        +. config.batch_fill
-      else 2.0 *. config.rpc_timeout
-    in
-    Rpc.call t.env.Proposer.rpc ~src:t.env.Proposer.dc ~dst ~timeout
-      (Messages.Submit { group; record })
-  in
-  let rec go attempts manager =
-    if attempts <= 0 then `Unreachable
-    else if not (probe manager) then go (attempts - 1) ((manager + 1) mod total)
-    else
-      match submit manager with
-      | Some (Messages.Submit_reply { result = Messages.Accepted_at position }) ->
-          `Accepted position
-      | Some (Messages.Submit_reply { result = Messages.Stale_read }) -> `Rejected
-      | Some _ | None -> `Maybe
-  in
-  go (total + 1) (config.initial_leader mod total)
+  match submit_to_manager t ~group record with
+  | `Unreachable -> `Unreachable
+  | `Reply (Some (Messages.Submit_reply { result = Messages.Accepted_at position }))
+    ->
+      `Accepted position
+  | `Reply (Some (Messages.Submit_reply { result = Messages.Stale_read })) ->
+      `Rejected
+  | `Reply _ -> `Maybe
 
 let commit_multi m =
   if m.mfinished then

@@ -33,6 +33,7 @@ type response =
   | Claim_reply of { first : bool }
   | Submit_reply of { result : submit_result }
   | Snapshot_reply of { applied : int; rows : (string * int * string) list }
+  | Compacted
   | Failed of string
 
 let pp_request ppf = function
@@ -82,4 +83,5 @@ let pp_response ppf = function
         | In_doubt -> "in-doubt")
   | Snapshot_reply { applied; rows } ->
       Format.fprintf ppf "snapshot(applied=%d,%d rows)" applied (List.length rows)
+  | Compacted -> Format.pp_print_string ppf "compacted"
   | Failed msg -> Format.fprintf ppf "failed(%s)" msg

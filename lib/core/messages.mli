@@ -76,6 +76,10 @@ type response =
   | Snapshot_reply of { applied : int; rows : (string * int * string) list }
       (** The peer's applied watermark and latest [(key, version, value)]
           per data row of the group. *)
+  | Compacted
+      (** Prepare or accept refused: the position is at or below this
+          acceptor's compaction point — decided, applied and discarded
+          with its acceptor state. *)
   | Failed of string
       (** Service-side failure (e.g. could not learn a missing log entry
           because no quorum is reachable). *)

@@ -50,33 +50,21 @@ let observer env =
 
 type choice = Propose of Txn.entry | Stop of Txn.entry | Retry
 
-type result = Decided of Txn.entry | Observed of Txn.entry | Unavailable
+type result =
+  | Decided of Txn.entry
+  | Observed of Txn.entry
+  | Unavailable
+  | Compacted
 
 type stats = { prepare_rounds : int; accept_rounds : int; fast_path_used : bool }
 
 let quorum env = Tally.majority (List.length env.dcs)
 
 (* Backoff before re-entering the prepare phase (Algorithm 2, lines 40 and
-   55). Flat mode draws uniformly from [min, max] — exactly the paper's
-   prototype, and exactly one RNG draw, so the default stream is
-   untouched. Decorrelated mode (config flag) grows the upper bound from
-   the previous sleep ([min(cap, uniform(min, 3·prev))]): consecutive
-   losers of a contended position spread out exponentially instead of
-   re-colliding inside the same fixed window. [prev] is per-[run] state —
-   contention is per position, so each proposal starts the ladder over. *)
-let backoff env prev =
-  let d =
-    if env.config.Config.backoff_decorrelated then begin
-      let d =
-        Float.min env.config.backoff_max
-          (Rng.uniform env.rng env.config.backoff_min (3.0 *. !prev))
-      in
-      prev := d;
-      d
-    end
-    else Rng.uniform env.rng env.config.backoff_min env.config.backoff_max
-  in
-  Engine.sleep d
+   55): one uniform draw from [min, max], as in the paper's prototype. *)
+let backoff env =
+  Engine.sleep
+    (Rng.uniform env.rng env.config.Config.backoff_min env.config.backoff_max)
 
 (* Broadcast apply to every datacenter (Figure 3, step 6). Remote applies
    are one-way; the local one is confirmed synchronously so that the next
@@ -123,8 +111,9 @@ let accept_round ?sequenced env ~group ~pos ~ballot entry =
   in
   (oks >= quorum env, max_seen)
 
-(* One prepare round: Some (votes) once a majority promised, None with the
-   highest nextBal hint otherwise. *)
+(* One prepare round: Ok votes once a majority promised; otherwise the
+   highest nextBal hint and how many acceptors refused the position as
+   compacted. *)
 let prepare_round env ~group ~pos ~ballot =
   let replies =
     Rpc.broadcast env.rpc ~src:env.dc ~dsts:env.dcs
@@ -138,20 +127,24 @@ let prepare_round env ~group ~pos ~ballot =
         >= quorum env)
       (Messages.Prepare { group; pos; ballot })
   in
-  let votes, max_seen =
+  let votes, max_seen, compacted =
     List.fold_left
-      (fun (votes, seen) (from, reply) ->
+      (fun (votes, seen, compacted) (from, reply) ->
         match reply with
-        | Messages.Promise { vote } -> ({ Tally.from; vote } :: votes, seen)
+        | Messages.Promise { vote } ->
+            ({ Tally.from; vote } :: votes, seen, compacted)
         | Messages.Prepare_reject { next_bal } ->
-            (votes, if Ballot.compare next_bal seen > 0 then next_bal else seen)
-        | _ -> (votes, seen))
-      ([], Ballot.bottom) replies
+            ( votes,
+              (if Ballot.compare next_bal seen > 0 then next_bal else seen),
+              compacted )
+        | Messages.Compacted -> (votes, seen, compacted + 1)
+        | _ -> (votes, seen, compacted))
+      ([], Ballot.bottom, 0) replies
   in
   if List.length votes >= quorum env then Ok (List.rev votes)
-  else Error max_seen
+  else Error (max_seen, compacted)
 
-let run env ~group ~pos ?fast ~choose () =
+let run env ~group ~pos ?fast ?(stop_compacted = false) ~choose () =
   let stats = ref { prepare_rounds = 0; accept_rounds = 0; fast_path_used = false } in
   let bump_prepare () = stats := { !stats with prepare_rounds = !stats.prepare_rounds + 1 } in
   let bump_accept () = stats := { !stats with accept_rounds = !stats.accept_rounds + 1 } in
@@ -179,7 +172,6 @@ let run env ~group ~pos ?fast ~choose () =
   match fast_outcome with
   | Some r -> (r, !stats)
   | None ->
-      let slept = ref env.config.Config.backoff_min in
       let rec attempt ballot round =
         if round > env.config.max_rounds then begin
           Trace.record env.trace ~level:Trace.Warn ~source ~category:"giveup"
@@ -191,14 +183,18 @@ let run env ~group ~pos ?fast ~choose () =
           Trace.record env.trace ~source ~category:"prepare" "pos %d ballot %s round %d"
             pos (Ballot.to_string ballot) round;
           match prepare_round env ~group ~pos ~ballot with
-          | Error seen ->
-              backoff env slept;
+          | Error (_, compacted) when stop_compacted && compacted >= quorum env ->
+              Trace.record env.trace ~level:Trace.Warn ~source ~category:"giveup"
+                "pos %d: compacted at a quorum" pos;
+              (Compacted, !stats)
+          | Error (seen, _) ->
+              backoff env;
               attempt (Ballot.next ~after:(if Ballot.compare seen ballot > 0 then seen else ballot) ~proposer:env.dc) (round + 1)
           | Ok votes -> (
               match choose votes with
               | Stop entry -> (Observed entry, !stats)
               | Retry ->
-                  backoff env slept;
+                  backoff env;
                   attempt (Ballot.next ~after:ballot ~proposer:env.dc) (round + 1)
               | Propose entry ->
                   bump_accept ();
@@ -211,7 +207,7 @@ let run env ~group ~pos ?fast ~choose () =
                     (Decided entry, !stats)
                   end
                   else begin
-                    backoff env slept;
+                    backoff env;
                     attempt
                       (Ballot.next ~after:(if Ballot.compare seen ballot > 0 then seen else ballot) ~proposer:env.dc)
                       (round + 1)
@@ -266,4 +262,4 @@ let learn env ~group ~pos =
   in
   match run env ~group ~pos ~choose () with
   | Decided entry, _ | Observed entry, _ -> Some entry
-  | Unavailable, _ -> None
+  | (Unavailable | Compacted), _ -> None

@@ -343,6 +343,16 @@ let fetch_snapshot t ~group ~at_least =
   in
   try_peers peers
 
+(* A quorum refused a manager's proposal at [pos] as compacted: its log
+   ends below the peers' checkpoint, so every proposal at its tail would
+   be refused the same way until it catches up (found by chaos seed 46:
+   crash + compact). A quorum of refusals proves no accept of this round
+   reached a quorum, so a record whose accept never went out lost the
+   position like any other and is re-admitted above the checkpoint; one
+   whose accept went out stays in doubt. *)
+let catch_up_compacted t ~group ~pos =
+  ignore (fetch_snapshot t ~group ~at_least:pos)
+
 let ensure_applied t ~group ~upto =
   let rec go attempts =
     match Wal.apply t.wal ~group ~upto with
@@ -758,7 +768,7 @@ let propose_sync (t : t) b ~pos batch =
       batch;
     Proposer.Propose winning
   in
-  match Proposer.run t.env ~group ~pos ~choose () with
+  match Proposer.run t.env ~group ~pos ~stop_compacted:true ~choose () with
   | Proposer.Decided entry', _ ->
       if Txn.equal_entry entry' entry then Hashtbl.replace t.won group pos;
       deliver_decided b ~pos entry' batch
@@ -769,6 +779,13 @@ let propose_sync (t : t) b ~pos batch =
           resolve_pending b p
             (if p.p_exposed then Messages.In_doubt else Messages.No_quorum))
         batch
+  | Proposer.Compacted, _ ->
+      (* See {!catch_up_compacted}: members whose accept never went out
+         lost the position and are retried above the checkpoint. *)
+      catch_up_compacted t ~group ~pos;
+      let exposed, lost = List.partition (fun p -> p.p_exposed) batch in
+      List.iter (fun p -> resolve_pending b p Messages.In_doubt) exposed;
+      deliver_decided b ~pos [] lost
 
 (* Seal at one: the record is its own entry, proposed at the position
    after the log tail as read before catch-up — through the fast round on
@@ -802,7 +819,10 @@ let propose_alone t ~group (record : Txn.record) =
                   exposed := true;
                 Proposer.Propose entry
               in
-              match Proposer.run t.env ~group ~pos ?fast ~choose () with
+              match
+                Proposer.run t.env ~group ~pos ?fast ~stop_compacted:true
+                  ~choose ()
+              with
               | Proposer.Decided entry, _
                 when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
                   Hashtbl.replace t.won group pos;
@@ -817,7 +837,10 @@ let propose_alone t ~group (record : Txn.record) =
                   (* A rival manager or a learner took the position. *)
                   attempt (tries - 1)
               | Proposer.Unavailable, _ ->
-                  if !exposed then Messages.In_doubt else Messages.No_quorum))
+                  if !exposed then Messages.In_doubt else Messages.No_quorum
+              | Proposer.Compacted, _ ->
+                  catch_up_compacted t ~group ~pos;
+                  if !exposed then Messages.In_doubt else attempt (tries - 1)))
   in
   attempt 5
 
@@ -885,13 +908,18 @@ let resolve_window (t : t) b =
                   if !prefix_ok then Proposer.Propose slot.sl_entry
                   else Proposer.Propose (revalidated ())
             in
-            match Proposer.run t.env ~group ~pos:slot.sl_pos ~choose () with
+            match
+              Proposer.run t.env ~group ~pos:slot.sl_pos ~stop_compacted:true
+                ~choose ()
+            with
             | Proposer.Decided entry, _ | Proposer.Observed entry, _ ->
                 if Txn.equal_entry entry slot.sl_entry then
                   Hashtbl.replace t.won group slot.sl_pos
                 else prefix_ok := false;
                 deliver_decided b ~pos:slot.sl_pos entry slot.sl_pendings
-            | Proposer.Unavailable, _ ->
+            | ((Proposer.Unavailable | Proposer.Compacted) as r), _ ->
+                if r = Proposer.Compacted then
+                  catch_up_compacted t ~group ~pos:slot.sl_pos;
                 unavailable := true;
                 List.iter
                   (fun p -> resolve_pending b p Messages.In_doubt)
@@ -1283,9 +1311,9 @@ let handle t ~src:_ request =
       | Error pos ->
           Messages.Failed (Printf.sprintf "cannot learn log position %d" pos))
   | Messages.Prepare { group; pos; _ } when compacted t ~group ~pos ->
-      Messages.Failed (Printf.sprintf "position %d compacted" pos)
+      Messages.Compacted
   | Messages.Accept { group; pos; _ } when compacted t ~group ~pos ->
-      Messages.Failed (Printf.sprintf "position %d compacted" pos)
+      Messages.Compacted
   | Messages.Prepare { group; pos; _ } when quarantined t ~group ~pos ->
       Messages.Failed (Printf.sprintf "position %d recovering" pos)
   | Messages.Accept { group; pos; _ } when quarantined t ~group ~pos ->

@@ -366,6 +366,36 @@ let test_restart_mid_propose_honesty () =
       Alcotest.failf "restart-mid-propose regression: %s@.repro: %s" v
         (Runner.repro report)
 
+(* Shrunk repros (seed 46 unbatched, seed 17 batched: crash + compact):
+   the leader's datacenter is cut off while both peers compact past the
+   end of its log. After healing, every proposal it made at its own log
+   tail was refused as compacted, spent the whole round budget and
+   answered In_doubt, so no probe ever committed through it. A quorum of
+   compacted refusals must make the manager catch up from a snapshot. *)
+let test_manager_behind_checkpoint () =
+  let duration = 20.0 in
+  let run ~throughput ~seed schedule =
+    let leader = Runner.default_config Config.Leader in
+    let config =
+      if throughput then Runner.throughput_config ~seed leader else leader
+    in
+    let workload =
+      if throughput then Runner.throughput_workload ~dcs:3 ~duration
+      else Runner.default_workload ~dcs:3 ~duration
+    in
+    let spec = Runner.spec ~config ~duration ~workload ~seed "VVV" in
+    let report = Runner.run ~schedule:(Schedule.of_string schedule) spec in
+    match report.Runner.violation with
+    | None -> ()
+    | Some v ->
+        Alcotest.failf "manager behind checkpoint: %s@.repro: %s" v
+          (Runner.repro report)
+  in
+  run ~throughput:false ~seed:46
+    "((4.003 (crash 0)) (11.915 (compact 2)) (12.702 (compact 1)))";
+  run ~throughput:true ~seed:17
+    "((1.122 (crash 0)) (2.945 (compact 2)) (3.976 (compact 1)))"
+
 (* The epoch draw (PR 10) is appended after the batch/depth draws on the
    same stream, so pre-epoch seeds must keep their historical batch/depth
    — a reordered draw would silently re-shuffle which seed exercised
@@ -448,6 +478,8 @@ let () =
             test_shrink_gray;
           Alcotest.test_case "restart mid-propose stays honest" `Quick
             test_restart_mid_propose_honesty;
+          Alcotest.test_case "manager behind the checkpoint catches up" `Quick
+            test_manager_behind_checkpoint;
           Alcotest.test_case "throughput config epoch draw pinned" `Quick
             test_throughput_config_epoch_draw;
         ] );
