@@ -40,7 +40,7 @@ let default_config protocol =
    deterministically from the seed on a stream distinct from both the
    engine's (raw seed) and the fault schedule's (seed lxor 0x5DEECE66D);
    never leaves both knobs at 1, because that would silently fall back to
-   the single path and test nothing new. The epoch draw comes after the
+   sealing at one, which the unbatched soak already covers. The epoch draw comes after the
    batch/depth draws, so seeds keep the batch/depth they had before the
    epoch dimension existed; roughly half the seeds run epoch sealing
    (PROTOCOL.md §11), with [batch_max] as the fill bound. *)

@@ -78,9 +78,10 @@ type t = {
   batch_max : int;
       (** [Leader] protocol throughput mode: max queued transactions the
           manager combines into one log position ({!Mdds_core.Combine}'s
-          validity rule orders them). [1] (default) disables batching —
-          every submission is proposed alone, byte-identical to the paper
-          path. *)
+          validity rule orders them). [1] (default) disables batching:
+          with [pipeline_depth = 1] and no epoch the drainer seals at
+          one, proposing every submission alone as the paper's manager
+          does. *)
   batch_fill : float;
       (** Fill-or-timeout: once the manager has at least one queued
           transaction but fewer than [batch_max], it waits at most this
@@ -116,8 +117,8 @@ val leader : t
 val throughput_mode : t -> bool
 (** True iff batching, pipelining, or epoch sealing is enabled
     ([batch_max > 1], [pipeline_depth > 1], or [epoch_interval > 0]).
-    Off in {!default}/{!basic}/{!leader}, so all paper figures take the
-    unbatched path unchanged. *)
+    Off in {!default}/{!basic}/{!leader}: the manager's drainer then
+    seals at one, proposing each submission alone (DESIGN.md §14). *)
 
 val epoch_mode : t -> bool
 (** True iff epoch sealing is enabled ([epoch_interval > 0]). Implies

@@ -93,8 +93,9 @@ type throughput_stats = {
 
 val throughput_stats : t -> throughput_stats
 (** Throughput-mode telemetry (DESIGN.md §14–§15). All zero unless
-    {!Config.throughput_mode} — the batched path is never entered
-    otherwise; the epoch counters are zero unless {!Config.epoch_mode}. *)
+    {!Config.throughput_mode}: a drainer sealing at one proposes each
+    submission alone and counts no batches. The epoch counters are zero
+    unless {!Config.epoch_mode}. *)
 
 type twopc_stats = {
   twopc_prepares : int;
@@ -129,8 +130,8 @@ val compact : t -> group:string -> upto:int -> (unit, [ `Not_applied ]) result
 
 val restart : t -> unit
 (** Simulate a service-process restart: volatile state (leadership claims,
-    the manager's fast-path streak, submission locks, and the decoded
-    WAL/acceptor caches) is dropped; durable state — the log and the Paxos
+    the manager's fast-path streak, the batched drainers' queues, and the
+    decoded WAL/acceptor caches) is dropped; durable state — the log and the Paxos
     acceptor state in the key-value store — survives, so promises made
     before the restart are still honoured. The caches rebuild lazily from
     the durable rows.

@@ -65,7 +65,7 @@ let group_name ~groups gi =
 (* All modes run the leader protocol so the comparison isolates
    batching/pipelining/epoch sealing; the baseline's
    [batch_max = pipeline_depth = 1, epoch_interval = 0] keeps
-   [Config.throughput_mode] off, i.e. the verbatim single path. *)
+   [Config.throughput_mode] off, i.e. the drainer sealing at one. *)
 let config_of_mode mode =
   {
     Config.leader with
