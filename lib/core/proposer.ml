@@ -247,16 +247,7 @@ let run_fast env ~group ~pos ~sequenced entry =
 let learn env ~group ~pos =
   let choose votes =
     (* Adopt whatever the votes reveal; never invent a value. *)
-    match
-      List.fold_left
-        (fun acc (r : Txn.entry Tally.response) ->
-          match (acc, r.vote) with
-          | None, v -> v
-          | Some _, None -> acc
-          | Some (bb, _), (Some (b, _) as v) ->
-              if Ballot.compare b bb > 0 then v else acc)
-        None votes
-    with
+    match Tally.highest_vote votes with
     | Some (_, entry) -> Propose entry
     | None -> Retry
   in

@@ -184,18 +184,21 @@ let twopc_stats (t : t) =
     in_doubt_replies = t.in_doubt_replies;
   }
 
-let keys_of t ~group =
-  match Hashtbl.find_opt t.group_keys group with
-  | Some k -> k
+(* The per-group entry of [tbl], made by [make] on first use. *)
+let per_group tbl group make =
+  match Hashtbl.find_opt tbl group with
+  | Some v -> v
   | None ->
-      let k =
-        {
-          paxos_prefix = "paxos/" ^ group ^ "/";
-          claim_prefix = "claim/" ^ group ^ "/";
-        }
-      in
-      Hashtbl.replace t.group_keys group k;
-      k
+      let v = make () in
+      Hashtbl.replace tbl group v;
+      v
+
+let keys_of t ~group =
+  per_group t.group_keys group (fun () ->
+      {
+        paxos_prefix = "paxos/" ^ group ^ "/";
+        claim_prefix = "claim/" ^ group ^ "/";
+      })
 
 let paxos_key t ~group ~pos = (keys_of t ~group).paxos_prefix ^ string_of_int pos
 let claim_key t ~group ~pos = (keys_of t ~group).claim_prefix ^ string_of_int pos
@@ -206,12 +209,7 @@ let claim_key t ~group ~pos = (keys_of t ~group).claim_prefix ^ string_of_int po
 let vote_codec = Codec.(option (pair Ballot.codec Txn.entry_codec))
 
 let acceptor_table t ~group =
-  match Hashtbl.find_opt t.acceptors group with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.replace t.acceptors group tbl;
-      tbl
+  per_group t.acceptors group (fun () -> Hashtbl.create 64)
 
 let decode_acceptor attrs =
   let next_bal =
@@ -426,12 +424,7 @@ let handle_claim t ~group ~pos ~claimant =
    the per-group Paxos log is the only durable truth the protocol has. *)
 
 let indoubt_table t ~group =
-  match Hashtbl.find_opt t.twopc group with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.twopc group tbl;
-      tbl
+  per_group t.twopc group (fun () -> Hashtbl.create 8)
 
 (* Forward reference: the resolver ladder needs [handle_submit] (defined
    below) to drive decision/outcome records through Paxos, while the
@@ -499,16 +492,13 @@ let blocked_by_2pc t ~group ~own record =
   match Hashtbl.find_opt t.twopc group with
   | None -> None
   | Some tbl ->
-      Hashtbl.fold
-        (fun txid ind acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              if String.equal txid own then None
-              else if footprint_conflict ~footprint:ind.ind_footprint record then
-                Some txid
-              else None)
-        tbl None
+      Hashtbl.to_seq tbl
+      |> Seq.find_map (fun (txid, ind) ->
+             if
+               (not (String.equal txid own))
+               && footprint_conflict ~footprint:ind.ind_footprint record
+             then Some txid
+             else None)
 
 (* Prepares sitting in not-yet-scanned overhang entries (decided or
    in-flight positions above the applied watermark, throughput mode)
@@ -647,25 +637,19 @@ let fire_2pc_trap t entry =
    order rounds complete in. *)
 
 let batcher t ~group =
-  match Hashtbl.find_opt t.batchers group with
-  | Some b -> b
-  | None ->
-      let b =
-        {
-          bt_group = group;
-          bt_queue = Queue.create ();
-          bt_requeue = Queue.create ();
-          bt_by_id = Hashtbl.create 32;
-          bt_window = [];
-          bt_next_pos = 0;
-          bt_prev = None;
-          bt_running = false;
-          bt_wake = None;
-          bt_stopped = false;
-        }
-      in
-      Hashtbl.replace t.batchers group b;
-      b
+  per_group t.batchers group (fun () ->
+      {
+        bt_group = group;
+        bt_queue = Queue.create ();
+        bt_requeue = Queue.create ();
+        bt_by_id = Hashtbl.create 32;
+        bt_window = [];
+        bt_next_pos = 0;
+        bt_prev = None;
+        bt_running = false;
+        bt_wake = None;
+        bt_stopped = false;
+      })
 
 let wake_batcher b =
   match b.bt_wake with
@@ -729,9 +713,8 @@ let build_batch (t : t) b =
   in
   let union = Txn.Write_union.create () in
   let take () =
-    match Queue.take_opt b.bt_requeue with
-    | Some p -> Some p
-    | None -> Queue.take_opt b.bt_queue
+    if Queue.is_empty b.bt_requeue then Queue.take_opt b.bt_queue
+    else Queue.take_opt b.bt_requeue
   in
   let rec fill batch size deferred =
     if size >= t.config.Config.batch_max then (batch, deferred)
@@ -888,17 +871,7 @@ let resolve_window (t : t) b =
                 slot.sl_entry
             in
             let choose votes =
-              let highest =
-                List.fold_left
-                  (fun acc (r : Txn.entry Mdds_paxos.Tally.response) ->
-                    match (acc, r.Mdds_paxos.Tally.vote) with
-                    | None, v -> v
-                    | Some _, None -> acc
-                    | Some (bb, _), (Some (bv, _) as v) ->
-                        if Ballot.compare bv bb > 0 then v else acc)
-                  None votes
-              in
-              match highest with
+              match Mdds_paxos.Tally.highest_vote votes with
               | Some (bb, e)
                 when not
                        (Ballot.equal bb fast_ballot
@@ -987,16 +960,13 @@ let rec drain (t : t) b =
 
 and launch (t : t) b =
   let group = b.bt_group in
-  if b.bt_stopped then ()
-  else begin
   (* Slots may have completed (or failed) during the fill wait: re-settle
      the window first. A failure means resolution must run before any new
      position opens — launching over an unresolved gap through the full
      protocol would decide a position whose admission checks assumed a
      prefix that may never commit. *)
   b.bt_window <- List.filter (fun s -> s.sl_state <> Sl_won) b.bt_window;
-  if List.exists (fun s -> s.sl_state = Sl_failed) b.bt_window then ()
-  else begin
+  if not (List.exists (fun s -> s.sl_state = Sl_failed) b.bt_window) then begin
     (* Only catch up through the learner when nothing of ours is in
        flight — learning one of our own open positions would race this
        manager against itself (a round-1 prepare killing its own
@@ -1062,18 +1032,12 @@ and launch (t : t) b =
       else propose_sync t b ~pos batch
     end
   end
-  end
 
 (* Queue a fresh submission, starting the drainer fiber if it is idle. *)
 let enqueue t b (record : Txn.record) =
   let p =
-    {
-      p_record = record;
-      p_result = None;
-      p_wakers = [];
-      p_tries = 0;
-      p_exposed = false;
-    }
+    { p_record = record; p_result = None; p_wakers = []; p_tries = 0;
+      p_exposed = false }
   in
   Queue.push p b.bt_queue;
   Hashtbl.replace b.bt_by_id record.Txn.txn_id p;
@@ -1228,12 +1192,7 @@ let compacted t ~group ~pos = pos <= Wal.compacted_position t.wal ~group
 (* Quarantine of storage-damaged acceptor positions.                    *)
 
 let suspect_table t ~group =
-  match Hashtbl.find_opt t.suspect group with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.suspect group tbl;
-      tbl
+  per_group t.suspect group (fun () -> Hashtbl.create 8)
 
 (* The quarantine set survives restarts in its own durable row — the
    scrub that detects damage also removes its evidence, so a second
@@ -1310,13 +1269,11 @@ let handle t ~src:_ request =
       | Ok () -> Messages.Value { value = Wal.read_data t.wal ~group ~key ~at:position }
       | Error pos ->
           Messages.Failed (Printf.sprintf "cannot learn log position %d" pos))
-  | Messages.Prepare { group; pos; _ } when compacted t ~group ~pos ->
+  | Messages.Prepare { group; pos; _ } | Messages.Accept { group; pos; _ }
+    when compacted t ~group ~pos ->
       Messages.Compacted
-  | Messages.Accept { group; pos; _ } when compacted t ~group ~pos ->
-      Messages.Compacted
-  | Messages.Prepare { group; pos; _ } when quarantined t ~group ~pos ->
-      Messages.Failed (Printf.sprintf "position %d recovering" pos)
-  | Messages.Accept { group; pos; _ } when quarantined t ~group ~pos ->
+  | Messages.Prepare { group; pos; _ } | Messages.Accept { group; pos; _ }
+    when quarantined t ~group ~pos ->
       Messages.Failed (Printf.sprintf "position %d recovering" pos)
   | Messages.Prepare { group; pos; ballot } -> handle_prepare t ~group ~pos ~ballot
   | Messages.Accept { group; pos; ballot; entry; sequenced } ->
@@ -1373,27 +1330,14 @@ let handle t ~src:_ request =
 (* Groups present in the durable store, recovered from the row-key layout
    (restart cannot trust any volatile group list). *)
 let durable_groups t =
-  let groups = Hashtbl.create 8 in
-  let note key prefix =
-    if String.starts_with ~prefix key then begin
-      let rest =
-        String.sub key (String.length prefix)
-          (String.length key - String.length prefix)
-      in
-      let group =
-        match String.index_opt rest '/' with
-        | Some i -> String.sub rest 0 i
-        | None -> rest
-      in
-      if group <> "" then Hashtbl.replace groups group ()
-    end
-  in
-  List.iter
-    (fun key ->
-      List.iter (note key)
-        [ "logmeta/"; "log/"; "data/"; "paxos/"; "claim/"; "recover/" ])
-    (Store.keys t.store);
-  Hashtbl.fold (fun g () acc -> g :: acc) groups [] |> List.sort String.compare
+  let prefixes = [ "logmeta"; "log"; "data"; "paxos"; "claim"; "recover" ] in
+  Store.keys t.store
+  |> List.filter_map (fun key ->
+         match String.split_on_char '/' key with
+         | prefix :: group :: _ when group <> "" && List.mem prefix prefixes ->
+             Some group
+         | _ -> None)
+  |> List.sort_uniq String.compare
 
 (* Scrub the group's Paxos and claim rows; positions whose rows held
    checksum-invalid versions are the damage set — their durable state
@@ -1473,12 +1417,9 @@ let restart t =
       (fun _ b ->
         b.bt_stopped <- true;
         let queued = Hashtbl.create 16 in
-        Queue.iter
-          (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
-          b.bt_queue;
-        Queue.iter
-          (fun (p : pending) -> Hashtbl.replace queued p.p_record.Txn.txn_id ())
-          b.bt_requeue;
+        let note (p : pending) = Hashtbl.replace queued p.p_record.Txn.txn_id () in
+        Queue.iter note b.bt_queue;
+        Queue.iter note b.bt_requeue;
         let orphans = Hashtbl.fold (fun _ p acc -> p :: acc) b.bt_by_id [] in
         List.iter
           (fun p ->
@@ -1585,32 +1526,31 @@ let equal_acceptor_state (a : Txn.entry Acceptor.state)
   Ballot.equal a.next_bal b.next_bal && equal_vote a.vote b.vote
 
 let acceptor_cache_coherent t ~group =
-  (
-      match Hashtbl.find_opt t.acceptors group with
-      | None -> Ok ()
-      | Some tbl ->
-          Hashtbl.fold
-            (fun pos (cached : acceptor_cached) acc ->
-              match acc with
-              | Error _ -> acc
-              | Ok () ->
-                  let fresh = load_acceptor_fresh t ~group ~pos in
-                  if not (equal_acceptor_state cached.acc_state fresh.acc_state)
-                  then
-                    Error
-                      (Printf.sprintf
-                         "acceptor/%s/%d: cached state differs from durable \
-                          decode"
-                         group pos)
-                  else if cached.acc_nb <> fresh.acc_nb then
-                    Error
-                      (Printf.sprintf
-                         "acceptor/%s/%d: cached nextBal attribute %s, store %s"
-                         group pos
-                         (Option.value cached.acc_nb ~default:"<absent>")
-                         (Option.value fresh.acc_nb ~default:"<absent>"))
-                  else Ok ())
-            tbl (Ok ()))
+  match Hashtbl.find_opt t.acceptors group with
+  | None -> Ok ()
+  | Some tbl ->
+      Hashtbl.fold
+        (fun pos (cached : acceptor_cached) acc ->
+          match acc with
+          | Error _ -> acc
+          | Ok () ->
+              let fresh = load_acceptor_fresh t ~group ~pos in
+              if not (equal_acceptor_state cached.acc_state fresh.acc_state)
+              then
+                Error
+                  (Printf.sprintf
+                     "acceptor/%s/%d: cached state differs from durable \
+                      decode"
+                     group pos)
+              else if cached.acc_nb <> fresh.acc_nb then
+                Error
+                  (Printf.sprintf
+                     "acceptor/%s/%d: cached nextBal attribute %s, store %s"
+                     group pos
+                     (Option.value cached.acc_nb ~default:"<absent>")
+                     (Option.value fresh.acc_nb ~default:"<absent>"))
+              else Ok ())
+        tbl (Ok ())
 
 let cache_coherent t ~group =
   match Wal.coherence t.wal ~group with

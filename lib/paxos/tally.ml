@@ -4,18 +4,18 @@ let majority d = (d / 2) + 1
 
 let is_quorum ~total n = n >= majority total
 
+let highest_vote responses =
+  List.fold_left
+    (fun acc r ->
+      match (acc, r.vote) with
+      | None, v -> v
+      | Some _, None -> acc
+      | Some (bb, _), (Some (b, _) as v) ->
+          if Ballot.compare b bb > 0 then v else acc)
+    None responses
+
 let find_winning responses ~own =
-  let best =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r.vote) with
-        | None, v -> v
-        | Some _, None -> acc
-        | Some (bb, _), (Some (b, _) as v) ->
-            if Ballot.compare b bb > 0 then v else acc)
-      None responses
-  in
-  match best with None -> own | Some (_, v) -> v
+  match highest_vote responses with None -> own | Some (_, v) -> v
 
 type 'v decision = Free | Chosen of 'v | Constrained of 'v
 

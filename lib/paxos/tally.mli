@@ -22,6 +22,10 @@ val majority : int -> int
 
 val is_quorum : total:int -> int -> bool
 
+val highest_vote : 'v response list -> (Ballot.t * 'v) option
+(** The vote at the maximum ballot among the responses (the first one
+    reported on a tie), or [None] if every vote is null. *)
+
 val find_winning : 'v response list -> own:'v -> 'v
 (** [findWinningVal]: the value voted at the maximum ballot, or [own] if
     every response carries a null vote. *)
