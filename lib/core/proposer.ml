@@ -144,7 +144,7 @@ let prepare_round env ~group ~pos ~ballot =
   if List.length votes >= quorum env then Ok (List.rev votes)
   else Error (max_seen, compacted)
 
-let run env ~group ~pos ?fast ?(stop_compacted = false) ~choose () =
+let run env ~group ~pos ?fast ~choose () =
   let stats = ref { prepare_rounds = 0; accept_rounds = 0; fast_path_used = false } in
   let bump_prepare () = stats := { !stats with prepare_rounds = !stats.prepare_rounds + 1 } in
   let bump_accept () = stats := { !stats with accept_rounds = !stats.accept_rounds + 1 } in
@@ -183,7 +183,8 @@ let run env ~group ~pos ?fast ?(stop_compacted = false) ~choose () =
           Trace.record env.trace ~source ~category:"prepare" "pos %d ballot %s round %d"
             pos (Ballot.to_string ballot) round;
           match prepare_round env ~group ~pos ~ballot with
-          | Error (_, compacted) when stop_compacted && compacted >= quorum env ->
+          | Error (_, compacted) when compacted >= quorum env ->
+              (* Compaction is permanent: no later round can do better. *)
               Trace.record env.trace ~level:Trace.Warn ~source ~category:"giveup"
                 "pos %d: compacted at a quorum" pos;
               (Compacted, !stats)

@@ -73,10 +73,10 @@ type result =
       (** [max_rounds] exhausted without a quorum — datacenters down,
           partition, or persistent contention. *)
   | Compacted
-      (** Only with [~stop_compacted:true]: a quorum refused a prepare
-          because the position is below its compaction point. It was
-          decided before this proposal reached it; the caller's log is
-          behind the peers' checkpoint. *)
+      (** A quorum refused a prepare because the position is at or below
+          its compaction point: it was decided before this proposal
+          reached it, and the caller's log is behind the peers'
+          checkpoint. *)
 
 type stats = {
   prepare_rounds : int;
@@ -89,7 +89,6 @@ val run :
   group:string ->
   pos:int ->
   ?fast:Txn.entry ->
-  ?stop_compacted:bool ->
   choose:(Txn.entry Tally.response list -> choice) ->
   unit ->
   result * stats
@@ -97,10 +96,7 @@ val run :
     an accept round at the round-0 ballot with the given value, skipping
     prepare (§4.1); on failure fall through to the full protocol. The
     caller is responsible for having claimed leadership before passing
-    [?fast]. [choose] receives the quorum's last-vote responses. With
-    [~stop_compacted:true] (default false) a prepare round that a quorum
-    refuses as compacted ends the instance with {!Compacted} instead of
-    retrying until [max_rounds]. *)
+    [?fast]. [choose] receives the quorum's last-vote responses. *)
 
 val run_fast :
   env -> group:string -> pos:int -> sequenced:Txn.entry option -> Txn.entry -> bool

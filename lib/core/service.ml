@@ -341,16 +341,6 @@ let fetch_snapshot t ~group ~at_least =
   in
   try_peers peers
 
-(* A quorum refused a manager's proposal at [pos] as compacted: its log
-   ends below the peers' checkpoint, so every proposal at its tail would
-   be refused the same way until it catches up (found by chaos seed 46:
-   crash + compact). A quorum of refusals proves no accept of this round
-   reached a quorum, so a record whose accept never went out lost the
-   position like any other and is re-admitted above the checkpoint; one
-   whose accept went out stays in doubt. *)
-let catch_up_compacted t ~group ~pos =
-  ignore (fetch_snapshot t ~group ~at_least:pos)
-
 let ensure_applied t ~group ~upto =
   let rec go attempts =
     match Wal.apply t.wal ~group ~upto with
@@ -751,7 +741,7 @@ let propose_sync (t : t) b ~pos batch =
       batch;
     Proposer.Propose winning
   in
-  match Proposer.run t.env ~group ~pos ~stop_compacted:true ~choose () with
+  match Proposer.run t.env ~group ~pos ~choose () with
   | Proposer.Decided entry', _ ->
       if Txn.equal_entry entry' entry then Hashtbl.replace t.won group pos;
       deliver_decided b ~pos entry' batch
@@ -763,9 +753,9 @@ let propose_sync (t : t) b ~pos batch =
             (if p.p_exposed then Messages.In_doubt else Messages.No_quorum))
         batch
   | Proposer.Compacted, _ ->
-      (* See {!catch_up_compacted}: members whose accept never went out
-         lost the position and are retried above the checkpoint. *)
-      catch_up_compacted t ~group ~pos;
+      (* As in {!propose_alone}: catch up, and retry the members whose
+         accept never went out above the checkpoint. *)
+      ignore (fetch_snapshot t ~group ~at_least:pos);
       let exposed, lost = List.partition (fun p -> p.p_exposed) batch in
       List.iter (fun p -> resolve_pending b p Messages.In_doubt) exposed;
       deliver_decided b ~pos [] lost
@@ -802,10 +792,7 @@ let propose_alone t ~group (record : Txn.record) =
                   exposed := true;
                 Proposer.Propose entry
               in
-              match
-                Proposer.run t.env ~group ~pos ?fast ~stop_compacted:true
-                  ~choose ()
-              with
+              match Proposer.run t.env ~group ~pos ?fast ~choose () with
               | Proposer.Decided entry, _
                 when Txn.mem_entry ~txn_id:record.Txn.txn_id entry ->
                   Hashtbl.replace t.won group pos;
@@ -822,7 +809,14 @@ let propose_alone t ~group (record : Txn.record) =
               | Proposer.Unavailable, _ ->
                   if !exposed then Messages.In_doubt else Messages.No_quorum
               | Proposer.Compacted, _ ->
-                  catch_up_compacted t ~group ~pos;
+                  (* This manager's log ends below the peers' checkpoint,
+                     so every proposal at its tail would be refused the
+                     same way until it catches up (chaos seed 46: crash +
+                     compact). A position decided before our accept
+                     reached a quorum cannot hold a record whose accept
+                     never went out: that record lost the position like
+                     any other and is re-admitted above the checkpoint. *)
+                  ignore (fetch_snapshot t ~group ~at_least:pos);
                   if !exposed then Messages.In_doubt else attempt (tries - 1)))
   in
   attempt 5
@@ -881,10 +875,7 @@ let resolve_window (t : t) b =
                   if !prefix_ok then Proposer.Propose slot.sl_entry
                   else Proposer.Propose (revalidated ())
             in
-            match
-              Proposer.run t.env ~group ~pos:slot.sl_pos ~stop_compacted:true
-                ~choose ()
-            with
+            match Proposer.run t.env ~group ~pos:slot.sl_pos ~choose () with
             | Proposer.Decided entry, _ | Proposer.Observed entry, _ ->
                 if Txn.equal_entry entry slot.sl_entry then
                   Hashtbl.replace t.won group slot.sl_pos
@@ -892,7 +883,7 @@ let resolve_window (t : t) b =
                 deliver_decided b ~pos:slot.sl_pos entry slot.sl_pendings
             | ((Proposer.Unavailable | Proposer.Compacted) as r), _ ->
                 if r = Proposer.Compacted then
-                  catch_up_compacted t ~group ~pos:slot.sl_pos;
+                  ignore (fetch_snapshot t ~group ~at_least:slot.sl_pos);
                 unavailable := true;
                 List.iter
                   (fun p -> resolve_pending b p Messages.In_doubt)
