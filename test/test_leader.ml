@@ -124,6 +124,43 @@ let test_leader_steady_state_uses_fast_path () =
     (Printf.sprintf "fast path keeps messages low (%.1f/commit)" per_commit)
     true (per_commit < 22.0)
 
+(* Sealing at one (DESIGN.md §14.0): submissions that reach one manager
+   together are proposed one at a time, in arrival order, each alone at
+   its own position. A duplicate of a queued submission takes its own
+   turn and is answered from the log with the original's position. *)
+let test_seal_at_one_fifo () =
+  let cluster = make () in
+  let service = Cluster.service cluster 0 in
+  let record i =
+    Mdds_types.Txn.make_record ~txn_id:(Printf.sprintf "t%d" i) ~origin:0
+      ~read_position:0 ~reads:[]
+      ~writes:[ { Mdds_types.Txn.key = Printf.sprintf "k%d" i; value = "v" } ]
+  in
+  let submissions = [ record 0; record 1; record 2; record 3; record 1 ] in
+  let positions = Array.make (List.length submissions) None in
+  List.iteri
+    (fun i record ->
+      Cluster.spawn cluster (fun () ->
+          match
+            Mdds_core.Service.handle service ~src:0
+              (Mdds_core.Messages.Submit { group; record })
+          with
+          | Mdds_core.Messages.Submit_reply
+              { result = Mdds_core.Messages.Accepted_at pos } ->
+              positions.(i) <- Some pos
+          | reply ->
+              Alcotest.failf "submission %d: %a" i
+                Mdds_core.Messages.pp_response reply))
+    submissions;
+  Cluster.run cluster;
+  Alcotest.(check (array (option int)))
+    "arrival order, one per position, duplicate answered from the log"
+    [| Some 1; Some 2; Some 3; Some 4; Some 2 |]
+    positions;
+  Alcotest.(check int) "duplicate counted" 1
+    (Mdds_core.Service.dedup_stats service).Mdds_core.Service.dup_submits;
+  Verify.check_exn cluster ~group
+
 let test_leader_stale_read_detected () =
   (* A transaction that begins, then waits while others overwrite its read
      set, must be refused by the manager's conflict check. *)
@@ -208,6 +245,7 @@ let () =
           Alcotest.test_case "failover" `Quick test_leader_failover;
           Alcotest.test_case "steady-state fast path" `Quick test_leader_steady_state_uses_fast_path;
           Alcotest.test_case "stale read detected" `Quick test_leader_stale_read_detected;
+          Alcotest.test_case "seal at one: FIFO, dedup from the log" `Quick test_seal_at_one_fifo;
           Alcotest.test_case "random workloads serializable" `Slow test_leader_random_workload_serializable;
           Alcotest.test_case "manager outage midway" `Quick test_leader_outage_midway;
         ] );
