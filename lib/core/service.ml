@@ -24,9 +24,10 @@ type group_keys = { paxos_prefix : string; claim_prefix : string }
 
 (* One queued submission. The handler fiber that received the Submit
    suspends on [p_wakers]; whichever fiber resolves the outcome (a
-   pipelined slot completing, the drainer's window resolution, or the
-   batch admission check) wakes every waiter — including duplicate
-   Submits for the same txn id that attached while it was in flight. *)
+   pipelined slot completing, the drainer's window resolution, the batch
+   admission check, or a seal-at-one proposal) wakes every waiter —
+   including duplicate Submits for the same txn id that attached while it
+   was in flight. *)
 type pending = {
   p_record : Txn.record;
   mutable p_result : Messages.submit_result option;
