@@ -77,10 +77,9 @@ let bench_combine =
     (Staged.stage (fun () ->
          ignore (Mdds_core.Combine.best ~own ~candidates ~exhaustive_limit:4 ())))
 
-(* Combination search at larger candidate counts. 8 candidates with a
-   raised limit keeps the incremental exhaustive planner on deep
-   insertion trees; 12 candidates with the production limit (4) measure
-   the dedup + footprint-greedy path a busy position actually takes. *)
+(* Combination search at a larger candidate count: 12 candidates with the
+   production limit (4) measure the dedup + footprint-greedy path a busy
+   position actually takes. *)
 let bench_combine_at n ~exhaustive_limit =
   let records = entry_of_size (n + 1) in
   let own = List.hd records and candidates = List.tl records in
@@ -88,41 +87,8 @@ let bench_combine_at n ~exhaustive_limit =
     (Staged.stage (fun () ->
          ignore (Mdds_core.Combine.best ~own ~candidates ~exhaustive_limit ())))
 
-(* Interner hot path: repeat lookups of already-interned keys, the shape
-   every [make_record] takes after warm-up. Single-domain first, then the
-   same hot set hammered from 4 domains at once — the sharded snapshot
-   read path should keep the contended number within sight of the
-   uncontended one, where the old single-mutex interner serialized every
-   lookup. The contended run prices 3 extra domains' worth of lookups too,
-   so compare per-lookup cost: contended/(4 × hit) is the real slowdown. *)
-let intern_hot_keys =
-  Array.init 256 (fun i -> Printf.sprintf "hot%03d" i)
-
-let bench_intern_hit =
-  Array.iter (fun k -> ignore (Mdds_types.Txn.Intern.id k)) intern_hot_keys;
-  Test.make ~name:"txn/intern-hit"
-    (Staged.stage (fun () ->
-         for i = 0 to Array.length intern_hot_keys - 1 do
-           ignore (Mdds_types.Txn.Intern.id intern_hot_keys.(i))
-         done))
-
-let bench_intern_contended =
-  Array.iter (fun k -> ignore (Mdds_types.Txn.Intern.id k)) intern_hot_keys;
-  let lookups () =
-    for _round = 1 to 4 do
-      for i = 0 to Array.length intern_hot_keys - 1 do
-        ignore (Mdds_types.Txn.Intern.id intern_hot_keys.(i))
-      done
-    done
-  in
-  Test.make ~name:"txn/intern-contended-4dom"
-    (Staged.stage (fun () ->
-         let others = Array.init 3 (fun _ -> Domain.spawn lookups) in
-         lookups ();
-         Array.iter Domain.join others))
-
 let bench_footprint_build =
-  (* Record construction now pays for interning + footprint sorting once;
+  (* Record construction pays for footprint sorting once;
      every conflict probe afterwards rides on it. Duplicate-heavy key
      lists, as clients produce (re-reads, overwritten keys). *)
   let reads = List.init 12 (fun i -> Printf.sprintf "a%03d" (i mod 8)) in
@@ -431,10 +397,7 @@ let micro_tests =
       bench_audit_stats;
       bench_tally;
       bench_combine;
-      bench_combine_at 8 ~exhaustive_limit:8;
       bench_combine_at 12 ~exhaustive_limit:4;
-      bench_intern_hit;
-      bench_intern_contended;
       bench_footprint_build;
       bench_reads_from;
       bench_check_1sr_large;
@@ -630,14 +593,6 @@ let emit_json ~path ~jobs ~figures ~micro ~throughput ~epoch_groups =
   close_out out;
   Printf.printf "\nwrote %s\n" path
 
-(* Scheduler visibility (--verbose): cumulative pool stats and the combine
-   planner's budget cutover count, on stderr so stdout (figure tables, the
-   JSON progress lines) stays byte-comparable across runs. *)
-let print_verbose_stats () =
-  Pool.pp_stats Format.err_formatter (Pool.stats ());
-  Format.eprintf "combine: %d budget cutovers to greedy@."
-    (Mdds_core.Combine.cutovers ())
-
 (* Time each figure twice — pinned to one domain, then on the pool — and
    record both; the parallel pass double-checks output identity is not our
    problem here (CI diffs the actual tables), only wall clock. *)
@@ -672,16 +627,12 @@ let run_json ~jobs ~quick ~out ids =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* Hand-rolled flag parsing:
-     [--jobs N | -j N] [--json] [--quick] [--out PATH] [--verbose] [ids...]. *)
+     [--jobs N | -j N] [--json] [--quick] [--out PATH] [ids...]. *)
   let out = ref "BENCH_harness.json" in
-  let verbose = ref false in
   let rec parse (json, quick, jobs, ids) = function
     | [] -> (json, quick, jobs, List.rev ids)
     | "--json" :: rest -> parse (true, quick, jobs, ids) rest
     | "--quick" :: rest -> parse (json, true, jobs, ids) rest
-    | "--verbose" :: rest ->
-        verbose := true;
-        parse (json, quick, jobs, ids) rest
     | "--out" :: path :: rest ->
         out := path;
         parse (json, quick, jobs, ids) rest
@@ -725,5 +676,4 @@ let () =
          ignore (run_micro ~quick ())
      | ids ->
          Figures.run_ids (List.filter (fun id -> id <> "micro") ids);
-         if List.mem "micro" ids then ignore (run_micro ~quick ()));
-  if !verbose then print_verbose_stats ()
+         if List.mem "micro" ids then ignore (run_micro ~quick ()))

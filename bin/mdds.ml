@@ -27,20 +27,6 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N" ~env:(Cmd.Env.info "MDDS_JOBS") ~doc)
 
-let verbose_arg =
-  let doc =
-    "After the run, print domain-pool scheduler statistics (tasks per \
-     domain, busy/idle time, batches) and the combination planner's \
-     budget-cutover count on stderr. Stdout is unaffected, so output \
-     stays byte-comparable."
-  in
-  Arg.(value & flag & info [ "verbose" ] ~doc)
-
-let print_scheduler_stats () =
-  Mdds_parallel.Pool.pp_stats Format.err_formatter (Mdds_parallel.Pool.stats ());
-  Format.eprintf "combine: %d budget cutovers to greedy@."
-    (Mdds_core.Combine.cutovers ())
-
 let topology_arg =
   let doc =
     "Datacenter spec: one character per datacenter, V = Virginia AZ, O = \
@@ -285,7 +271,7 @@ let chaos_cmd =
              schedule dimensions.")
   in
   let run topology protocol seed seeds duration faults explicit_schedule
-      shrink trace_tail throughput groups cross_ratio jobs verbose =
+      shrink trace_tail throughput groups cross_ratio jobs =
     Mdds_parallel.Pool.set_jobs jobs;
     let seeds = match seeds with None -> [ seed ] | Some s -> s in
     if groups < 1 then (
@@ -364,7 +350,6 @@ let chaos_cmd =
             Format.printf "%a" Schedule.pp minimal;
             Format.printf "  repro:    %s@." (Runner.repro final))))
       specs reports;
-    if verbose then print_scheduler_stats ();
     if !failures > 0 then (
       Format.printf "%d of %d seeds FAILED@." !failures (List.length seeds);
       exit 1)
@@ -374,7 +359,7 @@ let chaos_cmd =
     Term.(
       const run $ topology_arg $ protocol_arg $ seed_arg $ seeds_arg
       $ duration_arg $ faults_arg $ schedule_arg $ shrink_arg $ trace_tail_arg
-      $ throughput_arg $ groups_arg $ cross_ratio_arg $ jobs_arg $ verbose_arg)
+      $ throughput_arg $ groups_arg $ cross_ratio_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -547,7 +532,7 @@ let throughput_cmd =
   in
   let run topology seed txns rates batch depth baseline_only epoch epoch_fill
       sweep sweep_batches sweep_depths sweep_epochs topologies sweep_rate csv
-      groups out jobs verbose =
+      groups out jobs =
     Mdds_parallel.Pool.set_jobs jobs;
     if batch < 1 || depth < 1 then (
       Format.eprintf "mdds: --batch and --depth must be positive@.";
@@ -583,7 +568,6 @@ let throughput_cmd =
       (match csv with
       | None -> ()
       | Some path -> write_file path (Throughput.knob_to_csv cells));
-      if verbose then print_scheduler_stats ();
       if
         List.exists
           (fun (_, p) -> Result.is_error p.Throughput.verified)
@@ -619,7 +603,6 @@ let throughput_cmd =
       (match out with
       | None -> ()
       | Some path -> write_file path (Throughput.to_json points));
-      if verbose then print_scheduler_stats ();
       if List.exists (fun p -> Result.is_error p.Throughput.verified) points
       then exit 1
     end
@@ -630,7 +613,7 @@ let throughput_cmd =
       $ depth_arg $ baseline_only_arg $ epoch_arg $ epoch_fill_arg $ sweep_arg
       $ sweep_batches_arg $ sweep_depths_arg $ sweep_epochs_arg
       $ topologies_arg $ sweep_rate_arg $ csv_arg $ tp_groups_arg $ out_arg
-      $ jobs_arg $ verbose_arg)
+      $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "throughput"
@@ -652,17 +635,16 @@ let figures_cmd =
     let doc = "Figure ids (default: all). See 'mdds list'." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run ids jobs verbose =
+  let run ids jobs =
     Mdds_parallel.Pool.set_jobs jobs;
-    (try Figures.run_ids ids
-     with Invalid_argument msg ->
-       prerr_endline msg;
-       exit 2);
-    if verbose then print_scheduler_stats ()
+    try Figures.run_ids ids
+    with Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce figures from the paper's evaluation (§6).")
-    Term.(const run $ ids_arg $ jobs_arg $ verbose_arg)
+    Term.(const run $ ids_arg $ jobs_arg)
 
 let list_cmd =
   let run () =

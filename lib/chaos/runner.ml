@@ -557,16 +557,10 @@ let run ?schedule ?extra_oracle spec =
 
 (* Chaos seeds are independent trials like experiment cells: each run owns
    its cluster and engine, so a seed battery fans out across the domain
-   pool. Batteries mix fault windows and cluster sizes, so the cost hint
-   (virtual fault-window seconds × sites simulated) lets the pool dispense
-   the long soaks first. Shrinking stays sequential (each ddmin step
-   depends on the last), so callers shrink from the returned reports
-   afterwards. *)
+   pool. Shrinking stays sequential (each ddmin step depends on the last),
+   so callers shrink from the returned reports afterwards. *)
 let run_many ?schedule ?extra_oracle specs =
-  let cost (s : spec) =
-    s.duration *. float_of_int (String.length s.topology)
-  in
-  Mdds_parallel.Pool.map ~cost (fun spec -> run ?schedule ?extra_oracle spec) specs
+  Mdds_parallel.Pool.map (fun spec -> run ?schedule ?extra_oracle spec) specs
 
 let repro r =
   Printf.sprintf

@@ -9,24 +9,14 @@ let default_seeds = [ 11; 22; 33 ]
    independent cells of a figure's (config × seed) grid run in parallel on
    the domain pool; Pool.map preserves input order and each trial is a pure
    function of its spec, so figures are byte-identical to a sequential run
-   whatever the domain count.
-
-   Trials within one batch differ widely in wall time (a 1500-txn fig8
-   trial vs a 400-txn groups trial), so each spec carries a cost estimate —
-   transactions to decide × topology size, a proxy for messages simulated —
-   and the pool dispenses longest-estimated-first. Dispatch order never
-   affects results, only tail latency of the batch. *)
-let trial_cost (s : Experiment.spec) =
-  float_of_int s.Experiment.workload.Ycsb.total_txns
-  *. float_of_int (String.length s.Experiment.topology)
-
-let run_trials specs = Pool.map ~cost:trial_cost Experiment.run specs
+   whatever the domain count. *)
+let run_trials specs = Pool.map Experiment.run specs
 
 (* Run several groups of specs as ONE pool batch and slice the results
    back per group. Figures used to put each cell (or each protocol) on the
    pool separately, which serialized a figure into many small barriers;
-   flattening the whole grid lets the cost-aware scheduler fill every
-   domain across cell boundaries. Order within and across groups is
+   flattening the whole grid lets the pool fill every domain across cell
+   boundaries. Order within and across groups is
    preserved, so aggregation sees exactly the sequences it used to. *)
 let run_grouped groups =
   let flat = run_trials (List.concat groups) in

@@ -1,25 +1,16 @@
-(* Persistent domain pool for embarrassingly parallel trials.
+(* Domain pool for embarrassingly parallel trials.
 
-   The first generation of this module spawned [domains - 1] fresh domains
-   on every [map] call and joined them before returning. That made every
-   figure pay Domain.spawn/join (plus the GC ramp-up of a brand-new minor
-   heap) once per cell batch — measurably slower than sequential on small
-   batches. The pool is now process-persistent: worker domains are started
-   lazily on the first parallel [map], parked on a condition variable
-   between batches, and reused until {!shutdown} (registered [at_exit]) or
-   the end of the process.
+   Each parallel [map] spawns its workers, and joins them before it
+   returns. Workers and the calling domain take the next input index from
+   one atomic cursor, so elements are dispensed in input order; results
+   land in an array indexed by input position. A persistent pool with
+   parked workers and longest-estimated-first dispatch measured no faster
+   on a 2-core host (DESIGN.md §13), so the per-call Domain.spawn/join is
+   the whole of the machinery. *)
 
-   Scheduling is self-dispatch from a shared atomic cursor over a dispatch
-   [order] array. Callers may pass a per-element [?cost] estimate; the
-   dispatch order is then longest-estimated-first, so one expensive trial
-   is picked up immediately instead of tail-bounding the batch when a
-   cheap-first order leaves it for last. Results are always delivered in
-   input order whatever the dispatch order, so the determinism contract
-   (byte-identical figures at any domain count) is untouched. *)
-
-(* True when the current domain is a pool worker (or a caller participating
-   in its own pool): nested [map] calls then run sequentially instead of
-   queueing work the pool could deadlock on. *)
+(* True when the current domain is a pool worker (or a caller running its
+   own batch): nested [map] calls then run sequentially instead of
+   spawning domains from inside a trial. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let jobs_override : int option ref = ref None
@@ -44,17 +35,12 @@ let default_domains () =
 
 let get_jobs = default_domains
 
-(* ------------------------------------------------------------------ *)
-(* Per-domain GC tuning.
-
-   Trials allocate heavily (every simulated message is a fresh value); the
+(* Trials allocate heavily (every simulated message is a fresh value); the
    default 256k-word minor heap forces frequent minor collections, and on
    OCaml 5 every minor collection is a stop-the-world synchronization of
-   all domains. Workers therefore enlarge their minor heap on entry. The
-   user stays in charge: an explicit [s=...] in OCAMLRUNPARAM is
-   respected, and MDDS_MINOR_HEAP (words) overrides the default size. *)
-
-let default_minor_words = 4 * 1024 * 1024 (* words: 32 MB on 64-bit *)
+   all domains. Workers therefore enlarge their minor heap on entry, unless
+   OCAMLRUNPARAM pins it with an explicit [s=...]. *)
+let worker_minor_words = 4 * 1024 * 1024 (* words: 32 MB on 64-bit *)
 
 let ocamlrunparam_pins_minor () =
   match Sys.getenv_opt "OCAMLRUNPARAM" with
@@ -64,39 +50,15 @@ let ocamlrunparam_pins_minor () =
         (fun tok -> String.length tok >= 2 && tok.[0] = 's' && tok.[1] = '=')
         (String.split_on_char ',' s)
 
-let worker_minor_words () =
-  match Sys.getenv_opt "MDDS_MINOR_HEAP" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> default_minor_words)
-  | None -> default_minor_words
-
 let tune_worker_gc () =
   if not (ocamlrunparam_pins_minor ()) then begin
     let g = Gc.get () in
-    let want = worker_minor_words () in
-    if g.Gc.minor_heap_size < want then
-      Gc.set { g with Gc.minor_heap_size = want }
+    if g.Gc.minor_heap_size < worker_minor_words then
+      Gc.set { g with Gc.minor_heap_size = worker_minor_words }
   end
 
-(* ------------------------------------------------------------------ *)
-(* Batches.                                                            *)
-
-type batch = {
-  n : int;
-  order : int array;  (* dispatch order over input indices *)
-  run : int -> unit;  (* apply f to input index i; never raises *)
-  cursor : int Atomic.t;  (* next position in [order] to dispense *)
-  in_flight : int Atomic.t;  (* dispensed but not yet completed *)
-  slots : int Atomic.t;  (* worker participation slots remaining *)
-  failure : (int * exn * Printexc.raw_backtrace) option Atomic.t;
-}
-
-(* (index, exn, backtrace) of the smallest-index failure so far. The
-   cursor dispenses positions in dispatch order, but the *kept* failure is
-   the smallest input index, so the exception re-raised is the one a
-   sequential [List.map] would have raised regardless of dispatch order. *)
+(* Keep the failure with the smallest input index, so the exception
+   re-raised is the one a sequential [List.map] would have raised. *)
 let record_failure failure i e bt =
   let rec retry () =
     match Atomic.get failure with
@@ -107,156 +69,7 @@ let record_failure failure i e bt =
   in
   retry ()
 
-(* ------------------------------------------------------------------ *)
-(* The process-global pool.                                            *)
-
-type pool = {
-  mutex : Mutex.t;
-  wake : Condition.t;  (* workers: a new batch generation is out *)
-  drained : Condition.t;  (* caller: a worker finished its share *)
-  mutable batch : batch option;
-  mutable generation : int;
-  mutable stop : bool;
-  mutable workers : unit Domain.t array;
-  (* Stats, cumulative until [reset_stats]. Slot 0 is the calling domain;
-     slot k >= 1 is worker k. Each slot is written only by its owner, the
-     scalars only by the caller under [mutex]. *)
-  mutable tasks : int array;
-  mutable busy : float array;
-  mutable batches : int;
-  mutable batch_wall : float;
-  mutable spawned : int;
-}
-
-let pool =
-  {
-    mutex = Mutex.create ();
-    wake = Condition.create ();
-    drained = Condition.create ();
-    batch = None;
-    generation = 0;
-    stop = false;
-    workers = [||];
-    tasks = Array.make 1 0;
-    busy = Array.make 1 0.;
-    batches = 0;
-    batch_wall = 0.;
-    spawned = 0;
-  }
-
-(* Drain tasks from [b] until the cursor is exhausted or a failure is
-   seen. The in-flight counter is raised *before* the cursor fetch, so a
-   caller observing [in_flight = 0] after its own drain knows no worker
-   can still be about to start a task. *)
-let work_on b ~slot =
-  let t0 = Unix.gettimeofday () in
-  let count = ref 0 in
-  let rec loop () =
-    match Atomic.get b.failure with
-    | Some _ -> () (* stop dispensing; someone already failed *)
-    | None ->
-        Atomic.incr b.in_flight;
-        let pos = Atomic.fetch_and_add b.cursor 1 in
-        if pos >= b.n then ignore (Atomic.fetch_and_add b.in_flight (-1))
-        else begin
-          (* A dispensed index is always processed, even if a failure
-             lands concurrently — smallest-index propagation needs every
-             index below the failing one to complete. *)
-          b.run b.order.(pos);
-          incr count;
-          ignore (Atomic.fetch_and_add b.in_flight (-1));
-          loop ()
-        end
-  in
-  loop ();
-  pool.tasks.(slot) <- pool.tasks.(slot) + !count;
-  pool.busy.(slot) <- pool.busy.(slot) +. (Unix.gettimeofday () -. t0)
-
-let worker_main ~slot ~gen0 () =
-  Domain.DLS.set in_worker true;
-  tune_worker_gc ();
-  let rec loop last_gen =
-    Mutex.lock pool.mutex;
-    while pool.generation = last_gen && not pool.stop do
-      Condition.wait pool.wake pool.mutex
-    done;
-    let gen = pool.generation and b = pool.batch and stop = pool.stop in
-    Mutex.unlock pool.mutex;
-    if stop then ()
-    else begin
-      (match b with
-      | Some b when Atomic.fetch_and_add b.slots (-1) > 0 ->
-          work_on b ~slot;
-          Mutex.lock pool.mutex;
-          Condition.broadcast pool.drained;
-          Mutex.unlock pool.mutex
-      | _ -> ());
-      loop gen
-    end
-  in
-  loop gen0
-
-(* Grow the worker set to [want] live domains. Called under [pool.mutex]. *)
-let ensure_workers want =
-  let have = Array.length pool.workers in
-  if want > have then begin
-    let grow arr zero =
-      let g = Array.make (want + 1) zero in
-      Array.blit arr 0 g 0 (Array.length arr);
-      g
-    in
-    if Array.length pool.tasks < want + 1 then begin
-      pool.tasks <- grow pool.tasks 0;
-      pool.busy <- grow pool.busy 0.
-    end;
-    let gen0 = pool.generation in
-    let fresh =
-      Array.init (want - have) (fun k ->
-          Domain.spawn (worker_main ~slot:(have + k + 1) ~gen0))
-    in
-    pool.workers <- Array.append pool.workers fresh;
-    pool.spawned <- pool.spawned + (want - have)
-  end
-
-let shutdown () =
-  Mutex.lock pool.mutex;
-  let ws = pool.workers in
-  pool.workers <- [||];
-  pool.stop <- true;
-  Condition.broadcast pool.wake;
-  Mutex.unlock pool.mutex;
-  Array.iter Domain.join ws;
-  Mutex.lock pool.mutex;
-  (* Leave the pool restartable: the next [map] spawns fresh workers. *)
-  pool.stop <- false;
-  Mutex.unlock pool.mutex
-
-let () = at_exit shutdown
-
-let worker_count () =
-  Mutex.lock pool.mutex;
-  let n = Array.length pool.workers in
-  Mutex.unlock pool.mutex;
-  n
-
-(* ------------------------------------------------------------------ *)
-(* map                                                                  *)
-
-let dispatch_order ~cost input =
-  let n = Array.length input in
-  match cost with
-  | None -> Array.init n Fun.id
-  | Some cost ->
-      let keyed = Array.init n (fun i -> (cost input.(i), i)) in
-      (* Longest-estimated-first; ties broken by input index so the order
-         is deterministic. *)
-      Array.sort
-        (fun (ca, ia) (cb, ib) ->
-          match Float.compare cb ca with 0 -> Int.compare ia ib | c -> c)
-        keyed;
-      Array.map snd keyed
-
-let map ?domains ?cost f xs =
+let map ?domains f xs =
   let n = List.length xs in
   let domains =
     min n (match domains with Some d -> max 1 d | None -> default_domains ())
@@ -265,106 +78,33 @@ let map ?domains ?cost f xs =
   else begin
     let input = Array.of_list xs in
     let results = Array.make n None in
+    let cursor = Atomic.make 0 in
     let failure = Atomic.make None in
-    let run i =
-      try results.(i) <- Some (f input.(i))
-      with e -> record_failure failure i e (Printexc.get_raw_backtrace ())
+    (* Stop dispensing once a failure is seen. The cursor hands out
+       indices in order, so every index below a failing one was dispensed
+       earlier, and a dispensed index always runs to completion. *)
+    let rec work () =
+      if Option.is_none (Atomic.get failure) then begin
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          (try results.(i) <- Some (f input.(i))
+           with e -> record_failure failure i e (Printexc.get_raw_backtrace ()));
+          work ()
+        end
+      end
     in
-    let b =
-      {
-        n;
-        order = dispatch_order ~cost input;
-        run;
-        cursor = Atomic.make 0;
-        in_flight = Atomic.make 0;
-        slots = Atomic.make (domains - 1);
-        failure;
-      }
+    let workers =
+      List.init (domains - 1) (fun _ ->
+          Domain.spawn (fun () ->
+              Domain.DLS.set in_worker true;
+              tune_worker_gc ();
+              work ()))
     in
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock pool.mutex;
-    ensure_workers (domains - 1);
-    pool.batch <- Some b;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.wake;
-    Mutex.unlock pool.mutex;
-    (* The caller participates too, flagged as a worker so [f] cannot
-       recursively enqueue. *)
     Domain.DLS.set in_worker true;
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set in_worker false)
-      (fun () -> work_on b ~slot:0);
-    (* The caller's drain only returns once dispensing is finished, so
-       the batch is done when the last in-flight task lands. *)
-    Mutex.lock pool.mutex;
-    while Atomic.get b.in_flight > 0 do
-      Condition.wait pool.drained pool.mutex
-    done;
-    pool.batch <- None;
-    pool.batches <- pool.batches + 1;
-    pool.batch_wall <- pool.batch_wall +. (Unix.gettimeofday () -. t0);
-    Mutex.unlock pool.mutex;
-    match Atomic.get b.failure with
+    work ();
+    Domain.DLS.set in_worker false;
+    List.iter Domain.join workers;
+    match Atomic.get failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.to_list
-          (Array.map
-             (function Some v -> v | None -> assert false (* all dispensed *))
-             results)
+    | None -> Array.to_list (Array.map Option.get results)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler stats.                                                     *)
-
-type stats = {
-  batches : int;
-  tasks_by_domain : int array;
-  busy_by_domain : float array;
-  batch_wall_seconds : float;
-  spawned : int;
-  workers_live : int;
-}
-
-let stats () =
-  Mutex.lock pool.mutex;
-  let live = Array.length pool.workers in
-  let upto = 1 + max live (Array.length pool.tasks - 1) in
-  let s =
-    {
-      batches = pool.batches;
-      tasks_by_domain = Array.sub pool.tasks 0 (min upto (Array.length pool.tasks));
-      busy_by_domain = Array.sub pool.busy 0 (min upto (Array.length pool.busy));
-      batch_wall_seconds = pool.batch_wall;
-      spawned = pool.spawned;
-      workers_live = live;
-    }
-  in
-  Mutex.unlock pool.mutex;
-  s
-
-let reset_stats () =
-  Mutex.lock pool.mutex;
-  Array.fill pool.tasks 0 (Array.length pool.tasks) 0;
-  Array.fill pool.busy 0 (Array.length pool.busy) 0.;
-  pool.batches <- 0;
-  pool.batch_wall <- 0.;
-  Mutex.unlock pool.mutex
-
-let pp_stats ppf s =
-  let total = Array.fold_left ( + ) 0 s.tasks_by_domain in
-  let caller = if Array.length s.tasks_by_domain > 0 then s.tasks_by_domain.(0) else 0 in
-  Format.fprintf ppf
-    "pool: %d batches, %d tasks (%d by caller, %d pulled by workers), %d \
-     worker domains spawned (%d live), %.3fs in parallel sections@."
-    s.batches total caller (total - caller) s.spawned s.workers_live
-    s.batch_wall_seconds;
-  Array.iteri
-    (fun slot tasks ->
-      if slot > 0 || tasks > 0 then
-        let busy = s.busy_by_domain.(slot) in
-        Format.fprintf ppf
-          "  %s: %d tasks, busy %.3fs, idle %.3fs@."
-          (if slot = 0 then "caller " else Printf.sprintf "worker%d" slot)
-          tasks busy
-          (Float.max 0. (s.batch_wall_seconds -. busy)))
-    s.tasks_by_domain

@@ -11,45 +11,18 @@
     shipped in Paxos messages and persisted in the key-value store.
 
     Every record also carries a precomputed conflict {!footprint} — its
-    deduplicated read and write sets as sorted arrays of interned key ids —
-    built once at construction. All conflict predicates run on footprints,
-    so a validity probe costs a sorted-array intersection instead of
+    deduplicated read and write sets as arrays sorted by key name — built
+    once at construction. All conflict predicates run on footprints, so a
+    validity probe costs a merge over two sorted arrays instead of
     re-deriving sets with [List.sort_uniq] and [List.mem] scans. *)
 
 type key = string
 (** A data item identifier, unique within its transaction group. *)
 
-(** Process-global key interner: data-item name -> dense int id. Ids are
-    stable for the lifetime of the process but their numeric values depend
-    on first-intern order, which is not deterministic under the domain
-    pool — use them only for equality and set membership, never to derive
-    output (ordering of printed keys, messages, figures).
-
-    The table is sharded 64 ways by key hash; repeat lookups (the hot
-    path) read a frozen snapshot without taking any lock, so concurrent
-    [make_record] calls on different domains no longer serialize on one
-    mutex. Ids come from a single atomic counter, so a key's id is
-    globally consistent: footprints built on different domains compare
-    correctly. *)
-module Intern : sig
-  val id : key -> int
-  (** The id of [key], interning it on first use. Safe to call from any
-      domain concurrently; lock-free when [key] is already in the calling
-      stripe's published snapshot. *)
-
-  val name : int -> key option
-  (** Reverse lookup; [None] if the id was never assigned. *)
-
-  val count : unit -> int
-  (** Number of distinct keys interned so far. *)
-end
-
 type write = { key : key; value : string }
 (** One buffered write operation. *)
 
 type footprint = private {
-  read_ids : int array;  (** Interned read set, deduped, sorted ascending. *)
-  write_ids : int array;  (** Interned write set, deduped, sorted ascending. *)
   read_keys : key array;  (** Read set, deduped, sorted by name. *)
   write_keys : key array;  (** Write set, deduped, sorted by name. *)
 }
@@ -77,8 +50,6 @@ val make_record :
   txn_id:string -> origin:int -> read_position:int ->
   reads:key list -> writes:write list -> record
 
-val footprint : record -> footprint
-
 val read_set : record -> key list
 (** Keys read, deduplicated, sorted by name. *)
 
@@ -101,8 +72,8 @@ val is_read_only : record -> bool
 
 val reads_from : record -> record -> bool
 (** [reads_from t s] iff [t] read some key that [s] wrote — serializing [t]
-    after [s] at a later position would give [t] a stale read. A sorted
-    intersection probe over the two footprints: O(|reads| + |writes|). *)
+    after [s] at a later position would give [t] a stale read. A merge
+    over the two footprints' sorted arrays: O(|reads| + |writes|). *)
 
 val conflicts_with_any : record -> record list -> bool
 (** [conflicts_with_any t winners] iff [t] reads a key written by any

@@ -44,62 +44,12 @@ let test_map_nested () =
     [ [ 11; 12; 13 ]; [ 21; 22; 23 ]; [ 31; 32; 33 ] ]
     (Pool.map ~domains:2 inner [ 1; 2; 3 ])
 
-let test_pool_reuse () =
-  (* The pool is persistent: consecutive maps at the same width reuse the
-     worker domains instead of spawning fresh ones per call. *)
-  Pool.shutdown ();
-  Pool.reset_stats ();
-  let spawned0 = (Pool.stats ()).Pool.spawned in
-  let r1 = Pool.map ~domains:4 (fun x -> x + 1) (List.init 50 Fun.id) in
-  let after_first = (Pool.stats ()).Pool.spawned in
-  let r2 = Pool.map ~domains:4 (fun x -> x * 2) (List.init 50 Fun.id) in
-  let r3 = Pool.map ~domains:4 (fun x -> x - 3) (List.init 50 Fun.id) in
-  let after_third = (Pool.stats ()).Pool.spawned in
-  Alcotest.(check (list int)) "first map" (List.init 50 (fun x -> x + 1)) r1;
-  Alcotest.(check (list int)) "second map" (List.init 50 (fun x -> x * 2)) r2;
-  Alcotest.(check (list int)) "third map" (List.init 50 (fun x -> x - 3)) r3;
-  Alcotest.(check int) "first map spawned the workers" (spawned0 + 3) after_first;
-  Alcotest.(check int) "later maps spawned none" after_first after_third;
-  Alcotest.(check int) "workers stay parked between maps" 3 (Pool.worker_count ())
-
-let test_pool_failure_not_poisoned () =
-  (* An exception in one batch must not kill or wedge the parked workers:
-     the same domains serve the next batch. *)
-  ignore (Pool.map ~domains:4 Fun.id [ 0; 1 ]);
-  let before = (Pool.stats ()).Pool.spawned in
+let test_map_after_failure () =
+  (* A failed map leaves nothing behind: the next map runs normally. *)
   (try ignore (Pool.map ~domains:4 (fun _ -> failwith "boom") (List.init 20 Fun.id))
    with Failure _ -> ());
   let r = Pool.map ~domains:4 (fun x -> x + 10) (List.init 20 Fun.id) in
-  Alcotest.(check (list int)) "map after failure" (List.init 20 (fun x -> x + 10)) r;
-  Alcotest.(check int) "no respawn after failure" before (Pool.stats ()).Pool.spawned
-
-let test_shutdown_idempotent () =
-  ignore (Pool.map ~domains:3 Fun.id [ 1; 2; 3; 4 ]);
-  Pool.shutdown ();
-  Alcotest.(check int) "workers joined" 0 (Pool.worker_count ());
-  Pool.shutdown ();
-  Pool.shutdown ();
-  Alcotest.(check int) "shutdown idempotent" 0 (Pool.worker_count ());
-  (* And the pool restarts on the next map. *)
-  Alcotest.(check (list int)) "restart after shutdown" [ 2; 3; 4; 5 ]
-    (Pool.map ~domains:3 (fun x -> x + 1) [ 1; 2; 3; 4 ])
-
-let test_cost_hint_equivalence () =
-  (* A cost estimate reorders dispatch only; results are input-ordered and
-     identical whatever the estimate says — including adversarial ones. *)
-  let xs = List.init 100 Fun.id in
-  let f x = (x * 3) mod 17 in
-  let expected = List.map f xs in
-  List.iter
-    (fun cost ->
-      Alcotest.(check (list int)) "cost hint does not change results" expected
-        (Pool.map ~domains:5 ~cost f xs))
-    [
-      (fun x -> float_of_int x) (* cheap-first input order reversed *);
-      (fun x -> -.float_of_int x) (* already longest-first *);
-      (fun _ -> 1.0) (* all ties: input order *);
-      (fun x -> float_of_int (x mod 3)) (* many ties *);
-    ]
+  Alcotest.(check (list int)) "map after failure" (List.init 20 (fun x -> x + 10)) r
 
 let test_jobs_knob () =
   Pool.set_jobs (Some 3);
@@ -180,8 +130,8 @@ let test_figures_byte_identical () =
   Alcotest.(check string) "jobs=1 and jobs=8 tables identical" seq par8
 
 let test_chaos_byte_identical () =
-  (* A chaos battery (mixed durations, so the cost-aware dispatch actually
-     reorders) printed at one domain and at eight: identical reports. *)
+  (* A chaos battery of mixed durations and cluster sizes printed at one
+     domain and at eight: identical reports. *)
   let module Runner = Mdds_chaos.Runner in
   let specs =
     List.concat_map
@@ -217,13 +167,8 @@ let () =
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "exception propagation" `Quick test_map_exception;
           Alcotest.test_case "nested use" `Quick test_map_nested;
-          Alcotest.test_case "worker reuse across maps" `Quick test_pool_reuse;
-          Alcotest.test_case "failure does not poison workers" `Quick
-            test_pool_failure_not_poisoned;
-          Alcotest.test_case "shutdown idempotent and restartable" `Quick
-            test_shutdown_idempotent;
-          Alcotest.test_case "cost hint preserves results" `Quick
-            test_cost_hint_equivalence;
+          Alcotest.test_case "a map after a failed map returns normally" `Quick
+            test_map_after_failure;
           Alcotest.test_case "jobs knob" `Quick test_jobs_knob;
         ] );
       ( "engines",

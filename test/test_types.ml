@@ -80,10 +80,10 @@ let prop_codec_roundtrip =
       Txn.equal_entry (Codec.decode_exn Txn.entry_codec encoded) entry)
 
 (* ------------------------------------------------------------------ *)
-(* Footprint-vs-reference equivalence: the conflict predicates now run
-   on interned sorted-array footprints; these reference implementations
-   are the pre-footprint list-based definitions, kept here as the
-   executable spec the fast versions must agree with everywhere. *)
+(* Footprint-vs-reference equivalence: the conflict predicates run on
+   sorted-array footprints; these reference implementations are the
+   pre-footprint list-based definitions, kept here as the executable spec
+   the fast versions must agree with everywhere. *)
 
 let ref_read_set (r : Txn.record) = List.sort_uniq String.compare r.Txn.reads
 
@@ -162,51 +162,13 @@ let prop_combination_prefix_closed =
       List.for_all Txn.valid_combination (prefixes [] entry))
 
 (* ------------------------------------------------------------------ *)
-(* The sharded interner under concurrency: ids must be globally
-   consistent — whichever domain interns a key first, every domain sees
-   the same id, reverse lookup works, and no id is ever assigned twice. *)
-
-let test_intern_cross_domain () =
-  let n = 200 in
-  let keys = Array.init n (Printf.sprintf "xdom-key-%d") in
-  let before = Txn.Intern.count () in
-  let intern_all order = Array.map (fun k -> (k, Txn.Intern.id k)) order in
-  let reversed = Array.init n (fun i -> keys.(n - 1 - i)) in
-  let evens_first =
-    Array.init n (fun i ->
-        keys.(if i < n / 2 then 2 * i else (2 * (i - (n / 2))) + 1))
-  in
-  (* Three domains race on the same fresh key set in different orders while
-     the caller interns too; every key is contended at least once. *)
-  let d1 = Domain.spawn (fun () -> intern_all keys) in
-  let d2 = Domain.spawn (fun () -> intern_all reversed) in
-  let d3 = Domain.spawn (fun () -> intern_all evens_first) in
-  let here = intern_all keys in
-  let views = [ here; Domain.join d1; Domain.join d2; Domain.join d3 ] in
-  let canonical = Hashtbl.create n in
-  Array.iter (fun (k, id) -> Hashtbl.replace canonical k id) here;
-  List.iter
-    (Array.iter (fun (k, id) ->
-         Alcotest.(check int)
-           (Printf.sprintf "id of %s consistent across domains" k)
-           (Hashtbl.find canonical k) id))
-    views;
-  let distinct = Hashtbl.create n in
-  Array.iter (fun (_, id) -> Hashtbl.replace distinct id ()) here;
-  Alcotest.(check int) "no id assigned twice" n (Hashtbl.length distinct);
-  Alcotest.(check int) "exactly n fresh ids minted" (before + n)
-    (Txn.Intern.count ());
-  Array.iter
-    (fun (k, id) ->
-      Alcotest.(check (option string)) "reverse lookup" (Some k)
-        (Txn.Intern.name id))
-    here
+(* Records built on different domains (the harness builds them on
+   whichever domain runs the trial) must compare correctly. *)
 
 let raw_record_gen =
   (* Raw construction inputs (not a built record): the point of the
-     cross-domain property is that make_record — and hence interning —
-     happens on the spawned domain. A wide key pool keeps a fresh-intern
-     mix in every run alongside re-interned keys. *)
+     cross-domain property is that make_record happens on the spawned
+     domain. *)
   let open QCheck.Gen in
   let key = map (Printf.sprintf "xq%d") (int_bound 60) in
   let* txn_id = map (Printf.sprintf "t%d") small_nat in
@@ -254,11 +216,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_conflicts_matches_reference;
           QCheck_alcotest.to_alcotest prop_valid_combination_matches_reference;
           QCheck_alcotest.to_alcotest prop_footprint_decode_rebuild;
-        ] );
-      ( "intern-sharded",
-        [
-          Alcotest.test_case "cross-domain id consistency" `Quick
-            test_intern_cross_domain;
           QCheck_alcotest.to_alcotest prop_cross_domain_footprints;
         ] );
     ]
