@@ -187,6 +187,10 @@ let commit_basic t txn (record : Txn.record) =
       if !exposed then (Audit.Unknown, stats)
       else (Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }, stats)
 
+(* Max candidate transactions for the exhaustive combination search;
+   beyond it the greedy single pass is used (§5). *)
+let exhaustive_combination_limit = 4
+
 let commit_cp t txn (record : Txn.record) =
   let config = t.env.Proposer.config in
   let own = [ record ] in
@@ -203,9 +207,9 @@ let commit_cp t txn (record : Txn.record) =
             let voted = List.filter_map (fun (r : _ Tally.response) ->
                 Option.map snd r.vote) votes
             in
-            Combine.best ~probe_budget:config.combine_probe_budget ~own:record
+            Combine.best ~own:record
               ~candidates:(Combine.candidates_of_votes ~own:record voted)
-              ~exhaustive_limit:config.exhaustive_combination_limit ()
+              ~exhaustive_limit:exhaustive_combination_limit ()
           else own
         in
         exposed := true;

@@ -12,7 +12,6 @@
     candidate set is small, and a greedy single pass otherwise. *)
 
 val best :
-  ?probe_budget:int ->
   own:Mdds_types.Txn.record ->
   candidates:Mdds_types.Txn.record list ->
   exhaustive_limit:int ->
@@ -25,25 +24,9 @@ val best :
     (optimal); beyond that it is a greedy pass in the given order. The
     result always contains [own] and is always a valid combination.
 
-    [probe_budget] (default {!default_probe_budget}) caps the insertion
-    probes the exhaustive search may price. The planner's worst case —
-    every candidate mutually independent — is factorial in the candidate
-    count and known in closed form, so when that bound exceeds the budget
-    the search is skipped outright and the paper's greedy fallback (§5)
-    answers instead: a commit path must not stall on an adversarial
-    conflict shape, and an abandoned mid-tree search is pure waste. A
-    probe counter inside the search backstops the predictor. The default
-    budget is >2x the worst case of the production
-    [exhaustive_limit = 4], so it can only trigger when the limit is
-    raised; {!cutovers} counts how often it did. *)
-
-val default_probe_budget : int
-(** Default probe budget (8192; the [exhaustive_limit = 4] worst case —
-    four mutually independent candidates — is 3536 probes). *)
-
-val cutovers : unit -> int
-(** Process-wide count of exhaustive searches abandoned for the greedy
-    fallback because the probe budget ran out. Domain-safe. *)
+    The exhaustive search is factorial in the candidate count: its worst
+    case (every candidate mutually independent) prices 3,536 insertion
+    probes at the production limit of 4, so the limit alone bounds it. *)
 
 val candidates_of_votes :
   own:Mdds_types.Txn.record ->

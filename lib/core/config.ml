@@ -7,12 +7,9 @@ type t = {
   max_promotions : int option;
   enable_combination : bool;
   enable_fast_path : bool;
-  exhaustive_combination_limit : int;
-  combine_probe_budget : int;
   max_rounds : int;
   backoff_min : float;
   backoff_max : float;
-  prepare_linger : float;
   read_attempts : int;
   initial_leader : int;
   adaptive_timeouts : bool;
@@ -33,12 +30,9 @@ let default =
     max_promotions = None;
     enable_combination = true;
     enable_fast_path = true;
-    exhaustive_combination_limit = 4;
-    combine_probe_budget = Combine.default_probe_budget;
     max_rounds = 25;
     backoff_min = 0.002;
     backoff_max = 0.040;
-    prepare_linger = 0.01;
     read_attempts = 3;
     initial_leader = 0;
     adaptive_timeouts = false;

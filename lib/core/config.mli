@@ -29,14 +29,6 @@ type t = {
   enable_fast_path : bool;
       (** Leader-per-log-position optimization (§4.1): skip the prepare
           phase when first at the position's leader. *)
-  exhaustive_combination_limit : int;
-      (** Max candidate transactions for the exhaustive ordering search;
-          beyond it, the greedy single pass is used (§5). *)
-  combine_probe_budget : int;
-      (** Insertion probes the exhaustive combination search may spend
-          before cutting over to the greedy pass (see {!Combine.best}).
-          The default never triggers at the default
-          [exhaustive_combination_limit]; it only guards raised limits. *)
   max_rounds : int;
       (** Ballot attempts per log position before reporting the system
           unavailable (liveness valve; Paxos alone cannot guarantee
@@ -45,10 +37,6 @@ type t = {
   backoff_max : float;
       (** Uniform random sleep bounds (seconds) before re-entering the
           prepare phase (Algorithm 2, lines 40 and 55). *)
-  prepare_linger : float;
-      (** Extra seconds to keep collecting prepare responses after a
-          quorum of promises, so the tally sees more than a bare majority
-          (the combination window of §5 depends on it). *)
   read_attempts : int;
       (** How many datacenters a client tries for [begin]/[read] before
           giving up (local first, then random others; §2.2). *)

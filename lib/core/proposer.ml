@@ -111,6 +111,11 @@ let accept_round ?sequenced env ~group ~pos ~ballot entry =
   in
   (oks >= quorum env, max_seen)
 
+(* Extra seconds to keep collecting prepare responses after a quorum of
+   promises, so the tally sees more than a bare majority (the combination
+   window of §5 depends on it). *)
+let prepare_linger = 0.01
+
 (* One prepare round: Ok votes once a majority promised; otherwise the
    highest nextBal hint and how many acceptors refused the position as
    compacted. *)
@@ -118,7 +123,7 @@ let prepare_round env ~group ~pos ~ballot =
   let replies =
     Rpc.broadcast env.rpc ~src:env.dc ~dsts:env.dcs
       ~timeout:(broadcast_timeout env) ?observe:(observer env)
-      ~linger:env.config.prepare_linger
+      ~linger:prepare_linger
       ~enough:(fun responses ->
         List.length
           (List.filter

@@ -269,39 +269,6 @@ let test_combine_greedy_beyond_limit () =
   Alcotest.(check int) "greedy keeps all disjoint" 9 (List.length result);
   Alcotest.(check bool) "valid" true (Txn.valid_combination result)
 
-let test_combine_budget_cutover () =
-  (* 8 independent candidates at a raised limit: the exhaustive planner's
-     tree is ~10^6 probes, far past any sane budget, so [best] must abandon
-     it, count the cutover, and answer with the greedy pass — which keeps
-     every disjoint candidate here, so the answer is still maximal. *)
-  let own = record "own" ~writes:[ ("o", "1") ] in
-  let candidates =
-    List.init 8 (fun i ->
-        record (Printf.sprintf "c%d" i) ~writes:[ (Printf.sprintf "k%d" i, "1") ])
-  in
-  let before = Combine.cutovers () in
-  let budgeted =
-    Combine.best ~probe_budget:100 ~own ~candidates ~exhaustive_limit:8 ()
-  in
-  Alcotest.(check int) "cutover counted" (before + 1) (Combine.cutovers ());
-  Alcotest.(check bool) "budgeted answer = greedy answer" true
-    (Txn.equal_entry budgeted
-       (* greedy == best at limit 0 (candidates always exceed it) *)
-       (Combine.best ~own ~candidates ~exhaustive_limit:0 ()));
-  Alcotest.(check bool) "still valid" true (Txn.valid_combination budgeted);
-  Alcotest.(check int) "still maximal here" 9 (List.length budgeted);
-  (* The default budget is sized to never trigger at the production
-     exhaustive limit (worst case 3536 probes vs 8192): the same shape at
-     limit 4 — four independent candidates, the most expensive shape —
-     must stay on the exhaustive path. *)
-  let at_default = Combine.cutovers () in
-  ignore
-    (Combine.best ~own
-       ~candidates:(List.filteri (fun i _ -> i < 4) candidates)
-       ~exhaustive_limit:4 ());
-  Alcotest.(check int) "no cutover at the default limit" at_default
-    (Combine.cutovers ())
-
 let test_candidates_of_votes () =
   let own = record "own" in
   let e1 = [ record "a"; record "b" ] in
@@ -501,7 +468,7 @@ let prop_combine_identical_ordering_deep =
       match records with
       | [] -> true
       | own :: candidates ->
-          ordering_ids (Combine.best ~probe_budget:max_int ~own ~candidates ~exhaustive_limit:6 ())
+          ordering_ids (Combine.best ~own ~candidates ~exhaustive_limit:6 ())
           = ordering_ids (ref_best ~own ~candidates ~exhaustive_limit:6))
 
 (* ------------------------------------------------------------------ *)
@@ -770,7 +737,6 @@ let () =
           Alcotest.test_case "conflicting dropped" `Quick test_combine_conflicting_dropped;
           Alcotest.test_case "dedup" `Quick test_combine_dedup;
           Alcotest.test_case "greedy beyond limit" `Quick test_combine_greedy_beyond_limit;
-          Alcotest.test_case "budget cutover to greedy" `Quick test_combine_budget_cutover;
           Alcotest.test_case "candidates of votes" `Quick test_candidates_of_votes;
           QCheck_alcotest.to_alcotest prop_combine_always_valid;
           QCheck_alcotest.to_alcotest prop_combine_exhaustive_is_optimal;
