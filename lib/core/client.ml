@@ -143,6 +143,22 @@ let try_claim t txn ~pos =
         | Some (Messages.Claim_reply { first = true }) -> Some ()
         | _ -> None)
 
+(* A quorum refused [pos] as compacted, so the local service's log ends
+   below the peers' checkpoint and every later [begin] would return the
+   same stale read position. Have the local service install a peer
+   snapshot before the client reports the outcome. The service may try
+   every peer in turn, each for up to [rpc_timeout]. *)
+let catch_up t ~group ~pos =
+  let env = t.env in
+  let timeout =
+    env.Proposer.config.Config.rpc_timeout
+    *. float_of_int (List.length env.Proposer.dcs)
+  in
+  ignore
+    (Rpc.call env.Proposer.rpc ~src:env.Proposer.dc ~dst:env.Proposer.dc
+       ~timeout
+       (Messages.Catch_up { group; position = pos }))
+
 (* Fold one instance's proposer statistics into the transaction total. *)
 let add_stats (acc : Audit.protocol_stats) (s : Proposer.stats) =
   {
@@ -183,7 +199,8 @@ let commit_basic t txn (record : Txn.record) =
   | Proposer.Observed _ ->
       (* The basic chooser never stops early. *)
       assert false
-  | Proposer.Unavailable | Proposer.Compacted ->
+  | (Proposer.Unavailable | Proposer.Compacted) as r ->
+      if r = Proposer.Compacted then catch_up t ~group:txn.group ~pos;
       if !exposed then (Audit.Unknown, stats)
       else (Audit.Aborted { reason = Audit.Unavailable; promotions = 0 }, stats)
 
@@ -245,7 +262,8 @@ let commit_cp t txn (record : Txn.record) =
           | Some cap when promotions >= cap ->
               (Audit.Aborted { reason = Audit.Promotion_limit; promotions }, acc)
           | _ -> go (pos + 1) (promotions + 1) acc)
-    | Proposer.Unavailable | Proposer.Compacted ->
+    | (Proposer.Unavailable | Proposer.Compacted) as r ->
+        if r = Proposer.Compacted then catch_up t ~group:txn.group ~pos;
         if !exposed then (Audit.Unknown, acc)
         else (Audit.Aborted { reason = Audit.Unavailable; promotions }, acc)
   in

@@ -22,6 +22,7 @@ type request =
   | Claim_leadership of { group : string; pos : int; claimant : string }
   | Submit of { group : string; record : Txn.record }
   | Get_snapshot of { group : string }
+  | Catch_up of { group : string; position : int }
 
 type response =
   | Read_position of { position : int; leader : int option }
@@ -53,6 +54,8 @@ let pp_request ppf = function
   | Submit { group; record } ->
       Format.fprintf ppf "submit(%s,%a)" group Txn.pp_record record
   | Get_snapshot { group } -> Format.fprintf ppf "get_snapshot(%s)" group
+  | Catch_up { group; position } ->
+      Format.fprintf ppf "catch_up(%s,%d)" group position
 
 let pp_response ppf = function
   | Read_position { position; leader } ->

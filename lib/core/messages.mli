@@ -56,6 +56,11 @@ type request =
   | Get_snapshot of { group : string }
       (** Catch-up past a compaction point: ask a peer for its applied data
           state when the needed log entries can no longer be learned. *)
+  | Catch_up of { group : string; position : int }
+      (** A client's proposal at [position] was refused as compacted at a
+          quorum: its local service's log ends below the peers'
+          checkpoint. The service installs a peer snapshot covering
+          [position] unless its log already reaches it. *)
 
 type response =
   | Read_position of { position : int; leader : int option }

@@ -1318,6 +1318,12 @@ let handle t ~src:_ request =
   | Messages.Get_snapshot { group } ->
       let applied, rows = Wal.snapshot t.wal ~group in
       Messages.Snapshot_reply { applied; rows }
+  | Messages.Catch_up { group; position } ->
+      if
+        Wal.last_position t.wal ~group >= position
+        || fetch_snapshot t ~group ~at_least:position
+      then Messages.Applied
+      else Messages.Failed (Printf.sprintf "no snapshot covers %d" position)
 
 (* Groups present in the durable store, recovered from the row-key layout
    (restart cannot trust any volatile group list). *)

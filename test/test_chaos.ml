@@ -396,6 +396,34 @@ let test_manager_behind_checkpoint () =
   run ~throughput:true ~seed:17
     "((1.122 (crash 0)) (2.945 (compact 2)) (3.976 (compact 1)))"
 
+(* Shrunk repros (seeds 197 and 60, crash + compact): dc0 is down while
+   both peers compact past the end of its log. After healing, every
+   transaction a dc0 client began read the stale local log tail, proposed
+   at the next position, was refused as compacted at a quorum and
+   aborted, so the probe never committed. The client must have its local
+   service catch up from a peer snapshot, under both Paxos-CP and basic
+   Paxos. *)
+let test_client_behind_checkpoint () =
+  let run protocol ~seed schedule =
+    let spec =
+      Runner.spec ~config:(Runner.default_config protocol) ~duration:20.0 ~seed
+        "VVV"
+    in
+    let report = Runner.run ~schedule:(Schedule.of_string schedule) spec in
+    match report.Runner.violation with
+    | None -> ()
+    | Some v ->
+        Alcotest.failf "client behind checkpoint: %s@.repro: %s" v
+          (Runner.repro report)
+  in
+  List.iter
+    (fun protocol ->
+      run protocol ~seed:197
+        "((1.276 (crash 0)) (7.209 (compact 1)) (8.524 (compact 2)))";
+      run protocol ~seed:60
+        "((6.788 (crash 0)) (16.772 (compact 1)) (17.469 (compact 2)))")
+    [ Config.Cp; Config.Basic ]
+
 (* The epoch draw (PR 10) is appended after the batch/depth draws on the
    same stream, so pre-epoch seeds must keep their historical batch/depth
    — a reordered draw would silently re-shuffle which seed exercised
@@ -480,6 +508,8 @@ let () =
             test_restart_mid_propose_honesty;
           Alcotest.test_case "manager behind the checkpoint catches up" `Quick
             test_manager_behind_checkpoint;
+          Alcotest.test_case "client behind the checkpoint catches up" `Quick
+            test_client_behind_checkpoint;
           Alcotest.test_case "throughput config epoch draw pinned" `Quick
             test_throughput_config_epoch_draw;
         ] );
